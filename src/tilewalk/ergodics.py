@@ -2,9 +2,10 @@
 harmonic measures, fractal dimension estimation, and exact path-space
 invariance checks.
 
-Sampling draws floating-point uniforms from counter-based per-path streams
+Sampling draws floating-point uniforms from one seeded stream per path
 (derived from the scenario seed and the path index), so results are
-bit-reproducible regardless of worker count.  Everything downstream of the
+bit-reproducible regardless of worker count; sampled paths are held as
+integer arrays (``PathSamples``).  Everything downstream of the
 sampled indices that feeds an exact identity -- hitting probabilities,
 cylinder weights, pushforward bin maps -- stays in integer or rational
 arithmetic; logarithms and bin masses are the only floating-point outputs.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,46 +96,143 @@ def _stream_seed(seed: int, path_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sample_one_doubling(x: Fraction, n_steps: int, rng: random.Random) -> tuple[int, ...]:
+def _index_dtype(degree: int, max_level: int):
+    """int64 when tile indices up to ``max_level``, with one more digit of
+    headroom for the step arithmetic, fit; Python integers otherwise."""
+    return np.int64 if degree ** (max_level + 1) <= 2**63 else object
+
+
+@dataclass(eq=False)
+class PathSamples(Sequence):
+    """Sampled trajectories held as arrays, one row per path.
+
+    ``indices[p, s]`` and ``levels[p, s]`` give the tile of path p after
+    step s + 1.  Indexing or iterating yields ``PathSample`` views; slicing
+    yields a ``PathSamples`` over the selected rows.
+    """
+
+    degree: int
+    path_index: np.ndarray
+    stream_seed: np.ndarray
+    indices: np.ndarray
+    levels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.path_index)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return PathSamples(self.degree, self.path_index[key], self.stream_seed[key],
+                               self.indices[key], self.levels[key])
+        return PathSample(int(self.path_index[key]), int(self.stream_seed[key]),
+                          self.degree, tuple(self.indices[key].tolist()),
+                          tuple(self.levels[key].tolist()))
+
+    @property
+    def n_steps(self) -> int:
+        return self.indices.shape[1]
+
+    @property
+    def final_indices(self) -> np.ndarray:
+        return self.indices[:, -1]
+
+    @property
+    def final_levels(self) -> np.ndarray:
+        return self.levels[:, -1]
+
+    def by_final_level(self):
+        """(rows, final indices, level) for each distinct final level."""
+        final_levels = self.final_levels
+        for n in np.flatnonzero(np.bincount(final_levels)).tolist():
+            rows = np.flatnonzero(final_levels == n)
+            yield rows, self.final_indices[rows], n
+
+    def final_words(self) -> list[str]:
+        """``str`` of each path's final word: its index as ``level`` base-d
+        digits."""
+        d = self.degree
+        words = [""] * len(self)
+        for rows, idx, n in self.by_final_level():
+            if d > 10:
+                # symbols of two or more decimal digits
+                strs = [str(Word.from_index(i, n, d)) for i in idx.tolist()]
+            else:
+                digits = np.empty((len(rows), n), dtype=np.uint8)
+                for col in range(n - 1, -1, -1):
+                    digits[:, col] = idx % d
+                    idx = idx // d
+                strs = (digits + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
+            for r, w in zip(rows.tolist(), strs):
+                words[r] = w
+        return words
+
+    def final_midpoints(self) -> list[tuple[int, int]]:
+        """Reduced (numerator, denominator) of each final tile's midpoint
+        (2i + 1) / (2 d^n)."""
+        out: list[tuple[int, int]] = [(0, 1)] * len(self)
+        for rows, idx, n in self.by_final_level():
+            den = 2 * self.degree**n
+            for r, i in zip(rows.tolist(), idx.tolist()):
+                num = 2 * i + 1
+                g = math.gcd(num, den)
+                out[r] = (num // g, den // g)
+        return out
+
+
+def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stream seeds of paths start..stop-1 and the first n_steps draws of
+    ``random.Random(stream_seed).random()`` for each, as a matrix.
+
+    ``random()`` builds each draw from two consecutive 32-bit Mersenne
+    Twister outputs a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and
+    ``getrandbits(64 * n)`` returns the same 2n outputs with the first one in
+    the lowest bits, so one call per path gives all of its draws.
+    """
+    rng = random.Random()
+    # the C-level seeding; random.Random.seed only adds a dispatch on the
+    # argument type in front of it
+    reseed = super(random.Random, rng).seed
+    seeds = np.empty(stop - start, dtype=np.uint64)
+    words = bytearray()
+    for row, idx in enumerate(range(start, stop)):
+        s = _stream_seed(seed, idx)
+        seeds[row] = s
+        reseed(s)
+        words += rng.getrandbits(64 * n_steps).to_bytes(8 * n_steps, "little")
+    w = np.frombuffer(words, dtype="<u4").reshape(stop - start, 2 * n_steps)
+    uniforms = ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    return seeds, uniforms
+
+
+def _step_doubling(x: Fraction, uniforms: np.ndarray, dtype) -> np.ndarray:
+    """Tile indices of p_x paths driven by the given uniforms, all paths at
+    once.  Step from index i to 2i-1, 2i, 2i+1, 2i+2 (mod 2^(n+1)) by
+    comparing the draw against the cumulative weights in that order."""
     fy = float((1 - x) / 3)
     fx = float(x)
     p_zero = float((2 - 2 * x) / 3)
-    i = 0 if rng.random() < p_zero else 1
-    out = [i]
-    for n in range(1, n_steps):
-        r = rng.random()
-        if i % 2 == 0:
-            # weight x sits on 2i+2 (slot 3)
-            if r < fy:
-                j = 2 * i - 1
-            elif r < 2 * fy:
-                j = 2 * i
-            elif r < 3 * fy:
-                j = 2 * i + 1
-            else:
-                j = 2 * i + 2
-        else:
-            # weight x sits on 2i (slot 1)
-            if r < fy:
-                j = 2 * i - 1
-            elif r < fy + fx:
-                j = 2 * i
-            elif r < 2 * fy + fx:
-                j = 2 * i + 1
-            else:
-                j = 2 * i + 2
-        i = j % (1 << (n + 1))
-        out.append(i)
-    return tuple(out)
+    draws = np.ascontiguousarray(uniforms.T)        # one row per step
+    steps = np.empty(draws.shape, dtype=dtype)
+    i = (draws[0] >= p_zero).astype(np.int64).astype(dtype)
+    steps[0] = i
+    for step in range(1, len(draws)):
+        r = draws[step]
+        # weight x sits on 2i+2 for even i and on 2i for odd i
+        odd = (i & 1).astype(bool)
+        t2 = np.where(odd, fy + fx, 2 * fy)
+        t3 = np.where(odd, 2 * fy + fx, 3 * fy)
+        offset = (r >= fy).astype(np.int64) + (r >= t2) + (r >= t3)
+        i = (2 * i - 1 + offset) & ((1 << (step + 1)) - 1)
+        steps[step] = i
+    return steps.T
 
 
-def _sample_one_generic(kernel: Kernel, n_steps: int, rng: random.Random):
+def _sample_one_generic(kernel: Kernel, draws: list[float]):
     d = kernel.realization.degree
     u = ROOT
     indices, levels = [], []
-    for _ in range(n_steps):
+    for r in draws:
         out = kernel.outgoing(u)
-        r = rng.random()
         acc = 0.0
         chosen = out[-1][0]
         for w, p in out:
@@ -144,7 +243,7 @@ def _sample_one_generic(kernel: Kernel, n_steps: int, rng: random.Random):
         u = chosen
         indices.append(u.index(d))
         levels.append(u.level)
-    return tuple(indices), tuple(levels)
+    return indices, levels
 
 
 def _light_kernel(kernel: Kernel) -> Kernel:
@@ -156,46 +255,54 @@ def _light_kernel(kernel: Kernel) -> Kernel:
 
 
 def _sample_chunk(kernel: Kernel, start: int, stop: int, n_steps: int,
-                  seed: int) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    rows = []
-    doubling = isinstance(kernel, DoublingKernel)
-    for idx in range(start, stop):
-        s = _stream_seed(seed, idx)
-        rng = random.Random(s)
-        if doubling:
-            indices = _sample_one_doubling(kernel.x, n_steps, rng)
-            levels = tuple(range(1, n_steps + 1))
-        else:
-            indices, levels = _sample_one_generic(kernel, n_steps, rng)
-        rows.append((idx, s, indices, levels))
-    return rows
+                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Stream seeds, indices and levels of paths start..stop-1; levels are
+    None for the doubling kernel, whose path p is at level s + 1 after step
+    s + 1."""
+    seeds, uniforms = _uniforms(seed, start, stop, n_steps)
+    d = kernel.realization.degree
+    dtype = _index_dtype(d, n_steps * kernel.radius)
+    if isinstance(kernel, DoublingKernel):
+        return seeds, _step_doubling(kernel.x, uniforms, dtype), None
+    indices = np.empty(uniforms.shape, dtype=dtype)
+    levels = np.empty(uniforms.shape, dtype=np.int64)
+    for row, draws in enumerate(uniforms.tolist()):
+        indices[row], levels[row] = _sample_one_generic(kernel, draws)
+    return seeds, indices, levels
 
 
 def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
-                 workers: int = 1) -> list[PathSample]:
+                 workers: int = 1) -> PathSamples:
     """Draw independent level-increasing paths from the root.
 
-    Bit-reproducible for fixed (seed, n_paths, n_steps) no matter how many
-    workers split the index range.
+    Path p draws from its own ``random.Random`` stream, seeded from (seed,
+    p), so the result is bit-reproducible for fixed (seed, n_paths, n_steps)
+    no matter how many workers split the index range.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if n_steps * kernel.radius > kernel.depth_limit:
         raise LevelOverflowError(
             f"{n_steps} steps of radius {kernel.radius} exceed depth limit "
             f"{kernel.depth_limit}")
-    d = kernel.realization.degree
     if workers <= 1 or n_paths < 512:
-        rows = _sample_chunk(kernel, 0, n_paths, n_steps, seed)
+        chunks = [_sample_chunk(kernel, 0, n_paths, n_steps, seed)]
     else:
         light = _light_kernel(kernel)
         chunk = (n_paths + workers - 1) // workers
-        spans = [(i, min(i + chunk, n_paths)) for i in range(0, n_paths, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sample_chunk, light, a, b, n_steps, seed)
-                       for a, b in spans]
-            rows = [row for f in futures for row in f.result()]
-        rows.sort(key=lambda r: r[0])
-    return [PathSample(idx, s, d, indices, levels)
-            for idx, s, indices, levels in rows]
+            futures = [pool.submit(_sample_chunk, light, a, min(a + chunk, n_paths),
+                                   n_steps, seed)
+                       for a in range(0, n_paths, chunk)]
+            chunks = [f.result() for f in futures]
+    seeds = np.concatenate([c[0] for c in chunks])
+    indices = np.concatenate([c[1] for c in chunks])
+    if chunks[0][2] is None:
+        levels = np.broadcast_to(np.arange(1, n_steps + 1), indices.shape)
+    else:
+        levels = np.concatenate([c[2] for c in chunks])
+    return PathSamples(kernel.realization.degree, np.arange(n_paths), seeds,
+                       indices, levels)
 
 
 # -- drift ----------------------------------------------------------------------
@@ -219,78 +326,113 @@ def drift_exact(kernel: Kernel) -> Fraction:
     return sum((p * w.level for w, p in kernel.outgoing(ROOT)), Fraction(0))
 
 
-def _root_hitting_scaled(x: Fraction, i: int, n: int) -> tuple[int, int]:
-    """F(o, u_{i,n}) for the doubling kernel as (num, q) with F = num/q**n.
+# Largest forward level of doubling_root_numerators: its table holds
+# 2**level entries.
+_FORWARD_MAX_LEVEL = 16
+_INT64_MAX = 2**63 - 1
 
-    Integer-weight backward DP over the ancestor cone; exact and gcd-free.
+
+def doubling_root_numerators(x: Fraction, indices, level: int) -> tuple[list[int], int]:
+    """Exact F(o, u) of the doubling kernel p_x for the level-``level`` tiles
+    u with the given indices, as numerators over q**level, q = 3 * den(x).
+
+    All scaled weights are integers over the common denominator q, so every
+    partial sum is an integer and no gcd is ever taken.  A forward stencil
+    gives q^k F(o, v) for all 2^k tiles v of a split level k; a backward band
+    DP, vectorised over the targets, gives q^(n-k) F(v, u) on the ancestor
+    cone of each target, which is an interval of at most 3 tiles per level;
+    one Python-integer dot product per target joins the two halves.  Each
+    half runs in int64 when its values (at most q^k and q^(n-k)) fit, and
+    in Python integers otherwise.
     """
     px, qx = x.numerator, x.denominator
     q = 3 * qx
-    wx = 3 * px
-    wy = qx - px
-    band = {i % (1 << n): 1}
-    for m in range(n, 1, -1):
-        mod = 1 << (m - 1)
-        nxt: dict[int, int] = {}
-        for j, val in band.items():
-            contrib = (wx if j % 4 == 2 else wy) * val
-            if j % 2 == 0:
-                ks = (j // 2 - 1, j // 2)
-            else:
-                ks = ((j - 1) // 2, (j + 1) // 2)
-            for k in ks:
-                k %= mod
-                nxt[k] = nxt.get(k, 0) + contrib
-        band = nxt
-    w_root = (2 * qx - 2 * px, qx + 2 * px)
-    total = sum(w_root[j] * val for j, val in band.items())
-    return total, q
+    wx, wy = 3 * px, qx - px
+    n = level
+    if n == 0:
+        return [1] * len(indices), q
+    k = 1
+    while k < min(n, _FORWARD_MAX_LEVEL) and q ** (k + 1) <= _INT64_MAX:
+        k += 1
+
+    # forward: table[v] = q^m F(o, v) on level m; the step into tile j has
+    # weight x when j = 2 (mod 4), and j's predecessors are
+    # (j+1)//2 - 1 and (j+1)//2 (mod 2^m)
+    fdtype = np.int64 if q**k <= _INT64_MAX else object
+    table = np.array([2 * qx - 2 * px, qx + 2 * px], dtype=fdtype)
+    step_weights = np.array([wy, wy, wx, wy], dtype=fdtype)
+    for m in range(1, k):
+        nxt = np.empty(2 ** (m + 1), dtype=fdtype)
+        nxt[0::2] = np.roll(table, 1) + table
+        nxt[1::2] = table + np.roll(table, -1)
+        table = nxt * np.tile(step_weights, 2 ** (m - 1))
+    targets = np.asarray(indices, dtype=_index_dtype(2, n))
+    if n == k:
+        return table[targets].tolist(), q
+
+    # backward: band[p, s] = q^(n-m) F(tile lo[p] + s, target p) on level m,
+    # lo taken without reduction mod 2^m
+    bdtype = np.int64 if q ** (n - k) <= _INT64_MAX else object
+    step_weights = step_weights.astype(bdtype)
+    band = np.zeros((len(targets), 3), dtype=bdtype)
+    band[:, 0] = 1
+    lo = targets
+    slots = np.arange(3)
+    for m in range(n - 1, k - 1, -1):
+        pushed = band * step_weights[((lo[:, None] + slots) % 4).astype(np.int64)]
+        c0, c1, c2 = pushed[:, 0], pushed[:, 1], pushed[:, 2]
+        # slot s of level m+1 feeds slots (s+1)//2 and (s+1)//2 + 1 of level
+        # m when lo is even, s//2 and s//2 + 1 when lo is odd
+        odd = (lo % 2).astype(bool)
+        band = np.stack([np.where(odd, c0 + c1, c0), c0 + c1 + c2,
+                         np.where(odd, c2, c1 + c2)], axis=1)
+        lo = (lo + 1) // 2 - 1
+    ancestors = ((lo[:, None] + slots) % 2**k).astype(np.int64)
+    return [a0 * b0 + a1 * b1 + a2 * b2 for (a0, a1, a2), (b0, b1, b2)
+            in zip(table[ancestors].tolist(), band.tolist())], q
 
 
 def root_hitting_probability(kernel: Kernel, target: Word) -> Fraction:
     """F(o, target), via the scaled integer DP for the doubling family."""
     if isinstance(kernel, DoublingKernel):
-        num, q = _root_hitting_scaled(kernel.x, target.index(2), target.level)
+        (num,), q = doubling_root_numerators(kernel.x, [target.index(2)], target.level)
         return Fraction(num, q**target.level)
     return hitting_vector(kernel, target).get(ROOT, Fraction(0))
 
 
-def green_drift_estimate(kernel: Kernel, samples: list[PathSample],
-                         green_o=None, keep_values: bool = False) -> DriftReport:
+def green_drift_estimate(kernel: Kernel, samples: PathSamples,
+                         keep_values: bool = False) -> DriftReport:
     """Monte Carlo Green drift: mean over paths of -log F(o, Z_n) / n.
 
-    F values are exact rationals (per-path backward DP, or looked up in a
-    precomputed root table when one covering the sampled depth is passed);
-    only the final logarithm is floating point.  The reported stderr is the
-    across-path spread at fixed n, not a rigorous bound for the n -> oo
-    limit.
+    F values are exact rationals (batched scaled-integer DP for the doubling
+    family, per-path backward DP otherwise); only the final logarithm is
+    floating point.  The reported stderr is the across-path spread at fixed
+    n, not a rigorous bound for the n -> oo limit.
     """
-    if not samples:
+    if not len(samples):
         raise ValueError("no samples")
-    n = samples[0].n_steps
-    doubling = isinstance(kernel, DoublingKernel)
-    gs = np.empty(len(samples))
-    values: list[Fraction] | None = [] if keep_values else None
-    for pos, sample in enumerate(samples):
-        w = sample.final_word
-        if green_o is not None and w.level <= green_o.max_level:
-            f = green_o.value(w)
-            g = -frac_log(f)
-        elif doubling:
-            num, q = _root_hitting_scaled(kernel.x, sample.final_index,
-                                          sample.final_level)
-            if num == 0:
-                raise AssertionError(f"sampled path has F(o, Z_n) = 0 at {w}")
-            g = sample.final_level * _log_int(q) - _log_int(num)
-            f = Fraction(num, q**sample.final_level) if keep_values else None
-        else:
+    n = samples.n_steps
+    finals = samples.final_indices
+    if isinstance(kernel, DoublingKernel):
+        # every doubling path ends on level n
+        nums, q = doubling_root_numerators(kernel.x, finals, n)
+        if 0 in nums:
+            p = nums.index(0)
+            raise AssertionError(f"sampled path has F(o, Z_n) = 0 at "
+                                 f"{Word.from_index(int(finals[p]), n, 2)}")
+        log_q = n * _log_int(q)
+        gs = np.array([(log_q - _log_int(num)) / n for num in nums])
+        values = [Fraction(num, q**n) for num in nums] if keep_values else None
+    else:
+        d = samples.degree
+        values = []
+        for i, lvl in zip(finals.tolist(), samples.final_levels.tolist()):
+            w = Word.from_index(i, lvl, d)
             f = hitting_vector(kernel, w).get(ROOT, Fraction(0))
             if f == 0:
                 raise AssertionError(f"sampled path has F(o, Z_n) = 0 at {w}")
-            g = -frac_log(f)
-        gs[pos] = g / sample.n_steps
-        if keep_values:
             values.append(f)
+        gs = np.array([-frac_log(f) / n for f in values])
     est = float(np.mean(gs))
     stderr = float(np.std(gs, ddof=1) / math.sqrt(len(gs))) if len(gs) > 1 else 0.0
     report = DriftReport(drift_exact(kernel), est, stderr, len(samples), n, gs)
@@ -349,26 +491,31 @@ class EmpiricalMeasure:
         return int(np.count_nonzero(self.masses)) <= 1
 
 
-def empirical_harmonic_measure(samples: list[PathSample], bin_level: int,
+def empirical_harmonic_measure(samples: PathSamples, bin_level: int,
                                margin: int = 10) -> EmpiricalMeasure:
     """Bin the final-tile midpoints at the d-adic resolution ``bin_level``.
 
-    Requires the sampled depth to exceed the bin level by ``margin`` so the
-    bin assignment is insensitive to the midpoint proxy (tile diameters
+    Requires the sampled depth to exceed the bin level by ``margin`` >= 0 so
+    the bin assignment is insensitive to the midpoint proxy (tile diameters
     shrink like d**-n).
     """
-    if not samples:
+    if not len(samples):
         raise ValueError("no samples")
-    d = samples[0].degree
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+    d = samples.degree
     n_bins = d**bin_level
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for s in samples:
-        if s.final_level < bin_level + margin:
-            raise InsufficientDepthError(
-                f"need n_steps >= bin_level + {margin}, got depth {s.final_level}")
-        # midpoint (2i+1)/(2 d^n) lands in bin ((2i+1) d^m) // (2 d^n)
-        b = ((2 * s.final_index + 1) * n_bins) // (2 * d**s.final_level)
-        counts[b % n_bins] += 1
+    shallow = samples.final_levels < bin_level + margin
+    if shallow.any():
+        raise InsufficientDepthError(
+            f"need n_steps >= bin_level + {margin}, got depth "
+            f"{samples.final_levels[np.argmax(shallow)]}")
+    bins = np.empty(len(samples), dtype=np.int64)
+    for rows, idx, n in samples.by_final_level():
+        # the midpoint (2i+1)/(2 d^n) lands in bin ((2i+1) d^m) // (2 d^n),
+        # which is i // d^(n-m) for n >= m
+        bins[rows] = idx // d ** (n - bin_level)
+    counts = np.bincount(bins, minlength=n_bins)
     return EmpiricalMeasure(bin_level, d, counts / len(samples), len(samples))
 
 

@@ -526,6 +526,10 @@ class BoundaryClassification:
     side_ray_growth: Fraction         # 1/(2y) = 3/(2(1-x))
 
 
+class ClassificationInvariantError(ValueError):
+    """The threshold verdict contradicts the exact contraction data."""
+
+
 def classify_doubling_boundary(x: Fraction) -> BoundaryClassification:
     """Classify via the threshold x = 2/5 (x vs 2y), with the supporting
     spectral and contraction data computed exactly."""
@@ -552,8 +556,10 @@ def classify_doubling_boundary(x: Fraction) -> BoundaryClassification:
     )
     contraction = contraction_bound(x)
     sup = derivative_supremum(x)
-    if verdict == "homeomorphism":
-        assert contraction < 1 and sup < 1
+    if verdict == "homeomorphism" and not (contraction < 1 and sup < 1):
+        raise ClassificationInvariantError(
+            f"x = {x} classified homeomorphism but contraction {contraction} "
+            f"and derivative sup {sup} are not both < 1")
     return BoundaryClassification(
         x=x,
         verdict=verdict,

@@ -156,3 +156,43 @@ def test_seed_override(tmp_path):
     b = [l for l in (tmp_path / "b" / "samples.tsv").read_text().splitlines()
          if not l.startswith("#")]
     assert a == b
+
+
+def _header(path, key):
+    for line in path.read_text().splitlines():
+        if line.startswith(f"# {key} = "):
+            return line.split(" = ", 1)[1]
+    raise KeyError(key)
+
+
+def test_scenario_hash_covers_overrides(tmp_path):
+    assert main(["demo-doubling", "--x", "1/2", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["demo-doubling", "--x", "3/5", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert (_header(tmp_path / "a" / "demo.tsv", "scenario_hash")
+            != _header(tmp_path / "b" / "demo.tsv", "scenario_hash"))
+    # the text is not hashed, only what it resolves to
+    assert parse_scenario(SMALL).hash == parse_scenario("# note\n" + SMALL).hash
+    assert parse_scenario(SMALL).hash != parse_scenario(SMALL + "run.seed = 2\n").hash
+
+
+def test_classify_classifies_each_parameter_once(tmp_path, monkeypatch):
+    import tilewalk.cli as cli
+
+    calls = []
+    original = cli.classify_doubling_boundary
+    monkeypatch.setattr(cli, "classify_doubling_boundary",
+                        lambda x: calls.append(x) or original(x))
+    assert run_command("classify", parse_scenario(SMALL), tmp_path) == EXIT_OK
+    assert calls == [F(3, 10), F(1, 2)]
+
+
+def test_checks_multiplicativity_attempt_cap(tmp_path, monkeypatch):
+    import tilewalk.cli as cli
+
+    # no target vector holds the sampled pair, so no quadruple ever qualifies
+    monkeypatch.setattr(cli, "hitting_vector", lambda kernel, w: {})
+    assert run_command("checks", parse_scenario(SMALL), tmp_path) == EXIT_PROPERTY
+    rows = [line.split("\t") for line in (tmp_path / "checks.tsv").read_text().splitlines()
+            if not line.startswith("#")]
+    mult = next(r for r in rows if r[0] == "multiplicativity")
+    assert mult[1:] == ["FAIL", "0 quadruples in 4000 attempts"]

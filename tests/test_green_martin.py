@@ -10,6 +10,7 @@ from tilewalk.symbolic import ROOT, CircleRealization, Word, parse_word, tile_of
 from tilewalk.tile_graph import build_graph
 from tilewalk.kernels import doubling_kernel, doubling_table_spec, extend_by_equivariance
 from tilewalk.green_martin import (
+    ClassificationInvariantError,
     brute_force_hitting,
     check_multiplicative,
     classify_doubling_boundary,
@@ -319,3 +320,12 @@ def test_multi_level_jump_kernel_dp_directions():
     for i in (0, 7, 19, 31):
         target = w(i, 5)
         assert hitting_vector(kernel, target).get(ROOT, F(0)) == table.value(target)
+
+
+def test_classification_invariant_raises(monkeypatch):
+    import tilewalk.green_martin as gm
+
+    monkeypatch.setattr(gm, "contraction_bound", lambda x: F(1))
+    with pytest.raises(ClassificationInvariantError):
+        classify_doubling_boundary(F(3, 10))
+    assert classify_doubling_boundary(F(1, 2)).verdict == "non_injective"
