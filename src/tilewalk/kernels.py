@@ -66,6 +66,17 @@ class TableSpec:
 KernelSpec = DoublingSpec | TableSpec
 
 
+def _arc_gap(lo_a: int, width_a: int, lo_b: int, width_b: int, circle: int) -> int:
+    """``TileInterval.distance`` of the closed arcs [lo_a, lo_a + width_a]
+    and [lo_b, lo_b + width_b] on a circle of integer length ``circle``, in
+    the same integer units."""
+    if width_a >= circle or width_b >= circle:
+        return 0
+    if (lo_b - lo_a) % circle <= width_a or (lo_a - lo_b) % circle <= width_b:
+        return 0
+    return min((lo_b - lo_a - width_a) % circle, (lo_a - lo_b - width_b) % circle)
+
+
 def _check_rows(rows: dict[Word, list[tuple[Word, Fraction]]]):
     for u, out in rows.items():
         total = sum((p for _, p in out), Fraction(0))
@@ -217,27 +228,36 @@ class EquivariantTableKernel:
 
     def _lift(self, u: Word, w_prime: Word) -> Word:
         """Unique w with sigma^(|u|-N0) w = w_prime and A_w within the
-        window's reach of A_u."""
+        window's reach of A_u.
+
+        The distance test runs on integers: at the common denominator d^M,
+        M = max(|w|, |u|), both tiles are integer arcs of a circle of length
+        d^M, and dist(A_w, A_u) <= reach * d^-|u| becomes
+        gap * den(reach) <= num(reach) * d^(M - |u|).
+        """
         d = self.realization.degree
-        k = u.level - self.base_level
+        n = u.level
+        k = n - self.base_level
         m = w_prime.level + k
-        band = self.reach * Fraction(d) ** (-u.level)
-        tile_u = tile_of(self.realization, u)
+        top = max(m, n)
+        lo_u, width_u = u.index(d) * d ** (top - n), d ** (top - n)
+        width_w = d ** (top - m)
+        limit = self.reach.numerator * width_u
         block = d ** w_prime.level
         # candidate indices are j' + t*d^|w'|; only t near u's scaled index
         # can fall inside the band
-        t0 = (u.index(d) * d ** (m - u.level)) // block
+        t0 = (u.index(d) * d ** (m - n)) // block
         matches = []
         for t in (t0 - 1, t0, t0 + 1):
             j = (w_prime.index(d) + (t % d**k) * block) % d**m
-            w = Word.from_index(j, m, d)
-            if tile_of(self.realization, w).distance(tile_u) <= band:
-                if w not in matches:
-                    matches.append(w)
+            gap = _arc_gap(lo_u, width_u, j * width_w, width_w, d**top)
+            if gap * self.reach.denominator <= limit and j not in matches:
+                matches.append(j)
         if len(matches) != 1:
             raise LiftAmbiguityError(
-                f"lift of {w_prime} over {u} is not unique: {matches}")
-        return matches[0]
+                f"lift of {w_prime} over {u} is not unique: "
+                f"{[Word.from_index(j, m, d) for j in matches]}")
+        return Word.from_index(matches[0], m, d)
 
     def outgoing(self, u: Word) -> tuple[tuple[Word, Fraction], ...]:
         if u.level + 1 > self.depth_limit:

@@ -1,6 +1,7 @@
 """Differential tests: the array-backed sampler, the batched F(o, .) routine,
-the binning and the samples.tsv formatting against per-path reference code
-and the exact Fraction DPs."""
+the binning, the samples.tsv formatting and the integer lift of table
+kernels against per-path reference code, the exact Fraction DPs and the
+Fraction tile geometry."""
 
 import random
 from fractions import Fraction as F
@@ -21,8 +22,14 @@ from tilewalk.ergodics import (
     sample_paths,
 )
 from tilewalk.green_martin import green_table, hitting_vector
-from tilewalk.kernels import doubling_kernel, doubling_table_spec, extend_by_equivariance
-from tilewalk.symbolic import ROOT, CircleRealization, Word
+from tilewalk.kernels import (
+    TableSpec,
+    _arc_gap,
+    doubling_kernel,
+    doubling_table_spec,
+    extend_by_equivariance,
+)
+from tilewalk.symbolic import ROOT, CircleRealization, Word, parse_word, shift, tile_of
 
 
 # -- per-path reference sampler --------------------------------------------------
@@ -107,6 +114,70 @@ def test_path_samples_slicing_and_views():
     assert _rows(part) == _rows(samples)[10:20]
     assert samples[-1] == list(samples)[-1]
     assert samples[5].final_word == Word.from_index(samples[5].final_index, 9, 2)
+
+
+# -- integer lift of table kernels -----------------------------------------------
+
+
+@given(st.integers(2, 5), st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_arc_gap_matches_tile_distance(d, n, m, data):
+    r = CircleRealization(d)
+    u = Word.from_index(data.draw(st.integers(0, d**n - 1)), n, d)
+    w = Word.from_index(data.draw(st.integers(0, d**m - 1)), m, d)
+    top = max(n, m)
+    gap = _arc_gap(u.index(d) * d ** (top - n), d ** (top - n),
+                   w.index(d) * d ** (top - m), d ** (top - m), d**top)
+    assert F(gap, d**top) == tile_of(r, u).distance(tile_of(r, w))
+
+
+def _reference_lift(kernel, u, w_prime):
+    """Every candidate lift within reach, tested with Fraction tiles."""
+    d = kernel.realization.degree
+    k = u.level - kernel.base_level
+    m = w_prime.level + k
+    band = kernel.reach * F(d) ** (-u.level)
+    tile_u = tile_of(kernel.realization, u)
+    block = d ** w_prime.level
+    t0 = (u.index(d) * d ** (m - u.level)) // block
+    matches = []
+    for t in (t0 - 1, t0, t0 + 1):
+        w = Word.from_index(w_prime.index(d) + (t % d**k) * block, m, d)
+        if tile_of(kernel.realization, w).distance(tile_u) <= band and w not in matches:
+            matches.append(w)
+    return matches
+
+
+def _far_reach_table():
+    o_row = [(ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2))]
+    far = [
+        (parse_word("0"), Word.from_index(0, 2, 2), F(1, 2)),
+        (parse_word("0"), Word.from_index(5, 3, 2), F(1, 2)),
+        (parse_word("1"), Word.from_index(2, 2, 2), F(1, 2)),
+        (parse_word("1"), Word.from_index(1, 3, 2), F(1, 2)),
+    ]
+    return TableSpec(1, tuple(o_row + far))
+
+
+@pytest.mark.parametrize("spec", [doubling_table_spec(F(3, 5), 2),
+                                  doubling_table_spec(F(1, 3), 3),
+                                  doubling_table_spec(F(2, 7), 1),
+                                  _far_reach_table()],
+                         ids=["x=3/5,N0=2", "x=1/3,N0=3", "x=2/7,N0=1", "far-reach"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_lift_matches_fraction_geometry(spec, data):
+    k = extend_by_equivariance(spec, realization=CircleRealization(2))
+    n = data.draw(st.integers(k.base_level + 1, 60))
+    # the first and last tiles of a level sit next to the wraparound point
+    i = data.draw(st.one_of(st.sampled_from([0, 1, 2**n - 2, 2**n - 1]),
+                            st.integers(0, 2**n - 1)))
+    u = Word.from_index(i, n, 2)
+    base = u
+    for _ in range(n - k.base_level):
+        base = shift(base)
+    for w_prime, _ in k.window[base]:
+        assert [k._lift(u, w_prime)] == _reference_lift(k, u, w_prime)
 
 
 # -- batched F(o, .) --------------------------------------------------------------
