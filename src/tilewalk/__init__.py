@@ -29,7 +29,6 @@ from .tile_graph import (
 )
 from .kernels import (
     DoublingKernel,
-    DoublingSpec,
     EquivariantTableKernel,
     KernelError,
     LevelOverflowError,

@@ -573,7 +573,9 @@ def run_command(name: str, scenario: Scenario, out_dir: str | Path = "out",
     if seed is not None:
         scenario.seed = seed
     if x is not None:
+        # the parameter given on the command line replaces the scenario's grid
         scenario.x = x
+        scenario.x_grid = []
     writer = OutputWriter(Path(out_dir), scenario, name, scenario.seed)
     try:
         return _HANDLERS[name](scenario, writer, workers)

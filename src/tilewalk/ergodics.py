@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .green_martin import green_table, hitting_vector
-from .kernels import DoublingKernel, EquivariantTableKernel, Kernel, LevelOverflowError
+from .kernels import DoublingKernel, Kernel, LevelOverflowError
 from .symbolic import ROOT, Word, shift
 
 
@@ -204,71 +204,71 @@ def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarra
     return seeds, uniforms
 
 
-def _step_doubling(x: Fraction, uniforms: np.ndarray, dtype) -> np.ndarray:
-    """Tile indices of p_x paths driven by the given uniforms, all paths at
-    once.  Step from index i to 2i-1, 2i, 2i+1, 2i+2 (mod 2^(n+1)) by
-    comparing the draw against the cumulative weights in that order."""
-    fy = float((1 - x) / 3)
-    fx = float(x)
-    p_zero = float((2 - 2 * x) / 3)
-    draws = np.ascontiguousarray(uniforms.T)        # one row per step
-    steps = np.empty(draws.shape, dtype=dtype)
-    i = (draws[0] >= p_zero).astype(np.int64).astype(dtype)
-    steps[0] = i
-    for step in range(1, len(draws)):
-        r = draws[step]
-        # weight x sits on 2i+2 for even i and on 2i for odd i
-        odd = (i & 1).astype(bool)
-        t2 = np.where(odd, fy + fx, 2 * fy)
-        t3 = np.where(odd, 2 * fy + fx, 3 * fy)
-        offset = (r >= fy).astype(np.int64) + (r >= t2) + (r >= t3)
-        i = (2 * i - 1 + offset) & ((1 << (step + 1)) - 1)
-        steps[step] = i
-    return steps.T
+@dataclass(frozen=True)
+class _StepRows:
+    """A kernel's compiled rows as arrays, which pool workers receive.  Entry
+    col of row k sits at k * width + col of ``steps``, ``offsets`` and
+    ``next_row`` (the child's row); ``thresholds[col, k]`` is the running
+    float sum of row k up to entry col, inf padding short rows."""
+
+    degree: int
+    radius: int
+    width: int
+    thresholds: np.ndarray
+    steps: np.ndarray
+    offsets: np.ndarray
+    next_row: np.ndarray
 
 
-def _sample_one_generic(kernel: Kernel, draws: list[float]):
+def _step_rows(kernel: Kernel) -> _StepRows:
     d = kernel.realization.degree
-    u = ROOT
-    indices, levels = [], []
-    for r in draws:
-        out = kernel.outgoing(u)
+    width = max(len(row) for row in kernel.rows)
+    thresholds = np.full((width - 1, len(kernel.rows)), np.inf)
+    steps, offsets, next_row = (np.zeros((len(kernel.rows), width), dtype=np.int64)
+                                for _ in range(3))
+    for k, ((n, i), row) in enumerate(zip(kernel.row_tiles, kernel.rows)):
         acc = 0.0
-        chosen = out[-1][0]
-        for w, p in out:
+        for col, (r, offset, p) in enumerate(row):
             acc += float(p)
-            if r < acc:
-                chosen = w
-                break
-        u = chosen
-        indices.append(u.index(d))
-        levels.append(u.level)
-    return indices, levels
+            if col < len(row) - 1:
+                thresholds[col, k] = acc
+            steps[k, col], offsets[k, col] = r, offset
+            next_row[k, col] = kernel.row_id(n + r, d**r * i + offset)
+    return _StepRows(d, kernel.radius, width, thresholds, steps.ravel(),
+                     offsets.ravel(), next_row.ravel())
 
 
-def _light_kernel(kernel: Kernel) -> Kernel:
-    # workers re-instantiate without the materialized graph
-    if isinstance(kernel, DoublingKernel):
-        return DoublingKernel(kernel.x, None, kernel.depth_limit)
-    return EquivariantTableKernel(kernel.spec, None, kernel.realization,
-                                  kernel.depth_limit)
-
-
-def _sample_chunk(kernel: Kernel, start: int, stop: int, n_steps: int,
+def _sample_chunk(rows: _StepRows, start: int, stop: int, n_steps: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Stream seeds, indices and levels of paths start..stop-1; levels are
-    None for the doubling kernel, whose path p is at level s + 1 after step
-    s + 1."""
+    """Stream seeds, indices and levels (None for radius 1: level s + 1
+    after step s + 1) of paths start..stop-1, all stepping at once.  From
+    the level-n tile indexed i a step takes the first entry k of its row
+    whose running sum exceeds the draw (the last if none does) to the tile
+    indexed (d^r_k i + offset_k) mod d^(n + r_k) on level n + r_k.
+    """
     seeds, uniforms = _uniforms(seed, start, stop, n_steps)
-    d = kernel.realization.degree
-    dtype = _index_dtype(d, n_steps * kernel.radius)
-    if isinstance(kernel, DoublingKernel):
-        return seeds, _step_doubling(kernel.x, uniforms, dtype), None
-    indices = np.empty(uniforms.shape, dtype=dtype)
-    levels = np.empty(uniforms.shape, dtype=np.int64)
-    for row, draws in enumerate(uniforms.tolist()):
-        indices[row], levels[row] = _sample_one_generic(kernel, draws)
-    return seeds, indices, levels
+    d = rows.degree
+    dtype = _index_dtype(d, n_steps * rows.radius)
+    draws = np.ascontiguousarray(uniforms.T)        # one row per step
+    sizes = np.array([d**n for n in range(n_steps * rows.radius + 1)], dtype=dtype)
+    indices = np.empty(draws.shape, dtype=dtype)
+    levels = None if rows.radius == 1 else np.empty(draws.shape, dtype=np.int64)
+    i = np.zeros(stop - start, dtype=dtype)
+    n = np.zeros(stop - start, dtype=np.int64)
+    row = np.zeros(stop - start, dtype=np.int64)       # the root's
+    for step, r in enumerate(draws):
+        at = row * rows.width
+        for column in rows.thresholds:
+            at += column[row] <= r
+        row = rows.next_row[at]
+        if levels is None:
+            i = (d * i + rows.offsets[at]) % sizes[step + 1]
+        else:
+            n = n + rows.steps[at]
+            i = (d ** rows.steps[at] * i + rows.offsets[at]) % sizes[n]
+            levels[step] = n
+        indices[step] = i
+    return seeds, indices.T, None if levels is None else levels.T
 
 
 def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
@@ -285,13 +285,13 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
         raise LevelOverflowError(
             f"{n_steps} steps of radius {kernel.radius} exceed depth limit "
             f"{kernel.depth_limit}")
+    rows = _step_rows(kernel)
     if workers <= 1 or n_paths < 512:
-        chunks = [_sample_chunk(kernel, 0, n_paths, n_steps, seed)]
+        chunks = [_sample_chunk(rows, 0, n_paths, n_steps, seed)]
     else:
-        light = _light_kernel(kernel)
         chunk = (n_paths + workers - 1) // workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sample_chunk, light, a, min(a + chunk, n_paths),
+            futures = [pool.submit(_sample_chunk, rows, a, min(a + chunk, n_paths),
                                    n_steps, seed)
                        for a in range(0, n_paths, chunk)]
             chunks = [f.result() for f in futures]

@@ -1,14 +1,18 @@
 """Transition kernels on tile graphs.
 
-Two constructions are provided: the closed-form doubling-map family p_x on
-the degree-2 circle graph, and base-window tables extended to all depths by
-shift-equivariance.  Probabilities are exact rationals throughout; floating
-point enters only at Monte Carlo sampling sites.
+There is one kernel form: a base window of explicit transitions out of the
+sources of level <= N0, extended to all depths by shift-equivariance and
+compiled once, when the kernel is built, into integer rows.  The
+doubling-map family p_x is the base-level-2 table ``doubling_table_spec(x)``.
+Probabilities are exact rationals throughout; floating point enters only at
+Monte Carlo sampling sites.
 
-Both kernels expose transitions at arbitrary depth through closed forms, so
-path sampling and Green-function dynamic programming are not limited by the
-materialized graph truncation (the graph is needed only for metric
-validation).
+A compiled row lists each transition as (level step r, child offset
+j - d^r i, probability).  Above the window one row serves every vertex of a
+suffix class i mod d^N0, so transitions at arbitrary depth cost a few
+integer operations, and path sampling and Green-function dynamic
+programming are not limited by the materialized graph truncation (the graph
+is needed only for metric validation).
 """
 
 from __future__ import annotations
@@ -45,13 +49,6 @@ class LevelOverflowError(KernelError):
 
 
 @dataclass(frozen=True)
-class DoublingSpec:
-    """Builtin family p_x on the doubling-map graph, 0 < x < 1."""
-
-    x: Fraction
-
-
-@dataclass(frozen=True)
 class TableSpec:
     """Base window of explicit transitions, extended by shift-equivariance.
 
@@ -61,9 +58,6 @@ class TableSpec:
 
     base_level: int
     entries: tuple[tuple[Word, Word, Fraction], ...]
-
-
-KernelSpec = DoublingSpec | TableSpec
 
 
 def _arc_gap(lo_a: int, width_a: int, lo_b: int, width_b: int, circle: int) -> int:
@@ -89,91 +83,17 @@ def _check_rows(rows: dict[Word, list[tuple[Word, Fraction]]]):
                 raise KernelError(f"transition {u} -> {w} does not increase level")
 
 
-class DoublingKernel:
-    """The family p_x: from the root, x-weighted choice between the two
-    level-1 tiles; from the tile indexed i at level n, one step to the four
-    level-(n+1) tiles indexed 2i-1 .. 2i+2 (mod 2^(n+1)), with weight x on
-    the index congruent to 2 mod 4 and weight y = (1-x)/3 on the rest.
-    """
-
-    radius = 1
-    base_level = 2
-
-    def __init__(self, x: Fraction, graph: TileGraph | None = None,
-                 depth_limit: int = DEFAULT_DEPTH_LIMIT):
-        x = Fraction(x)
-        if not 0 < x < 1:
-            raise KernelError(f"x must lie in (0,1), got {x}")
-        self.x = x
-        self.y = (1 - x) / 3
-        self.graph = graph
-        self.realization = graph.realization if graph else CircleRealization(2)
-        if self.realization.degree != 2:
-            raise KernelError("doubling kernel needs a degree-2 realization")
-        self.depth_limit = depth_limit
-
-    # -- index-level closed forms -------------------------------------------
-
-    def targets_index(self, i: int, n: int) -> list[tuple[int, Fraction]]:
-        """Outgoing transitions of the level-n tile indexed i, as
-        (target index at level n+1, probability)."""
-        if n + 1 > self.depth_limit:
-            raise LevelOverflowError(f"transition past depth limit {self.depth_limit}")
-        if n == 0:
-            return [(0, (2 - 2 * self.x) / 3), (1, (1 + 2 * self.x) / 3)]
-        mod = 1 << (n + 1)
-        out = []
-        for j in (2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2):
-            j %= mod
-            out.append((j, self.x if j % 4 == 2 else self.y))
-        return out
-
-    def predecessors_index(self, j: int, m: int) -> list[int]:
-        """Level-(m-1) tile indices with positive one-step probability to the
-        level-m tile indexed j."""
-        if m <= 0:
-            return []
-        if m == 1:
-            return [0]          # the root
-        half = 1 << (m - 1)
-        if j % 2 == 0:
-            ks = (j // 2 - 1, j // 2)
-        else:
-            ks = ((j - 1) // 2, (j + 1) // 2)
-        return [k % half for k in ks]
-
-    # -- word-level interface -----------------------------------------------
-
-    def outgoing(self, u: Word) -> list[tuple[Word, Fraction]]:
-        n = u.level
-        return [(Word.from_index(j, n + 1, 2), p)
-                for j, p in self.targets_index(u.index(2), n)]
-
-    def predecessors(self, v: Word) -> list[Word]:
-        m = v.level
-        if m == 0:
-            return []
-        if m == 1:
-            return [ROOT]
-        return [Word.from_index(k, m - 1, 2)
-                for k in self.predecessors_index(v.index(2), m)]
-
-    def weight(self, u: Word, v: Word) -> Fraction:
-        if v.level != u.level + 1:
-            return Fraction(0)
-        for w, p in self.outgoing(u):
-            if w == v:
-                return p
-        return Fraction(0)
-
-    def __repr__(self):
-        return f"DoublingKernel(x={self.x})"
-
-
 class EquivariantTableKernel:
     """Kernel defined by an explicit base window and extended above it by
     shift-equivariance: for |u| > N0, the outgoing law of u is the unique
     lift of the outgoing law of sigma^(|u|-N0) u into the tiles near u.
+
+    The lift is compiled when the kernel is built: ``rows[row_id(n, i)]``
+    lists the transitions out of the level-n tile indexed i as (level step
+    r, child offset, probability), the child being the tile indexed
+    (d^r i + offset) mod d^(n+r).  The window's rows come first, level by
+    level, then one row per suffix class c = i mod d^N0 above the window;
+    ``row_tiles[k]`` is a tile of row k, (N0 + 1, c) for a class row.
     """
 
     def __init__(self, spec: TableSpec, graph: TileGraph | None = None,
@@ -183,22 +103,21 @@ class EquivariantTableKernel:
             raise KernelError("need a graph or a realization")
         self.graph = graph
         self.realization = realization or graph.realization
-        self.base_level = spec.base_level
+        self.base_level = n0 = spec.base_level
         self.depth_limit = depth_limit
-        self.spec = spec
 
         window: dict[Word, list[tuple[Word, Fraction]]] = {}
         for u, v, p in spec.entries:
-            if u.level > spec.base_level:
-                raise KernelError(f"window source {u} above base level {spec.base_level}")
+            if u.level > n0:
+                raise KernelError(f"window source {u} above base level {n0}")
             window.setdefault(u, []).append((v, p))
         _check_rows(window)
         d = self.realization.degree
-        for n in range(spec.base_level + 1):
-            for i in range(d**n if n else 1):
-                u = Word.from_index(i, n, d)
-                if u not in window:
-                    raise KernelError(f"base window has no row for {u}")
+        self.row_tiles = [(n, i) for n in range(n0 + 2) for i in range(d ** min(n, n0))]
+        for n, i in self.row_tiles:
+            u = Word.from_index(i, n, d)
+            if n <= n0 and u not in window:
+                raise KernelError(f"base window has no row for {u}")
         self.window = {u: tuple(out) for u, out in window.items()}
         self.radius = max(v.level - u.level for u, v, _ in spec.entries)
         # farthest a window target sits from its source, in units of the
@@ -209,7 +128,19 @@ class EquivariantTableKernel:
              for u, v, _ in spec.entries if not u.is_root()),
             default=Fraction(0))
         self._check_window_equivariance()
-        self._cache: dict[Word, tuple[tuple[Word, Fraction], ...]] = {}
+        self.rows = self._compile()
+        # the positive transitions for predecessors: inside the window by
+        # target; above it by level step r and target index mod d^(N0+r),
+        # which fixes the class of a source and so the offsets that reach j
+        self._window_sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._class_offsets: dict[tuple[int, int], list[int]] = {}
+        for (n, i), row in zip(self.row_tiles, self.rows):
+            for r, offset, p in row:
+                if p > 0 and n <= n0:
+                    self._window_sources.setdefault((n + r, d**r * i + offset), []).append((n, i))
+                elif p > 0:
+                    key = (r, (d**r * i + offset) % d ** (n0 + r))
+                    self._class_offsets.setdefault(key, []).append(offset)
 
     def _check_window_equivariance(self):
         """The extension is only well-defined if the window itself already
@@ -259,54 +190,108 @@ class EquivariantTableKernel:
                 f"{[Word.from_index(j, m, d) for j in matches]}")
         return Word.from_index(matches[0], m, d)
 
-    def outgoing(self, u: Word) -> tuple[tuple[Word, Fraction], ...]:
-        if u.level + 1 > self.depth_limit:
-            raise LevelOverflowError(f"transition past depth limit {self.depth_limit}")
-        if u.level <= self.base_level:
-            return self.window[u]
-        cached = self._cache.get(u)
-        if cached is None:
-            base = u
-            for _ in range(u.level - self.base_level):
-                base = shift(base)
-            cached = tuple((self._lift(u, w), p) for w, p in self.window[base])
-            self._cache[u] = cached
-        return cached
+    def _compile(self) -> list[tuple[tuple[int, int, Fraction], ...]]:
+        """The window's rows, then the class rows, read off ``_lift``.
 
-    def predecessors(self, v: Word) -> list[Word]:
-        m = v.level
-        if m == 0:
-            return []
+        Over the level-n tile indexed i, of class c, the lift candidates of
+        a window target j' sit at offsets j' - d^r c + t d^(N0+r), |t| <= 1,
+        from d^r i, all below 2 d^(N0+r) in size.  Once d^n >= 4 d^N0 + 4
+        the circle d^(n+r) is too long for any of them to wrap around, so
+        the lift's offset depends on the class alone and one tile per class
+        on that level compiles every deeper level.  The levels in between
+        are lifted tile by tile, so an ambiguous lift raises here.
+        """
+        d, n0 = self.realization.degree, self.base_level
+        rows = [tuple((w.level - n, w.index(d) - d ** (w.level - n) * i, p)
+                      for w, p in self.window[Word.from_index(i, n, d)])
+                for n, i in self.row_tiles if n <= n0]
+
+        def lift_row(i: int, n: int):
+            u = Word.from_index(i, n, d)
+            return [(w.level - n0, self._lift(u, w), p)
+                    for w, p in self.window[Word.from_index(i, n0, d)]]
+
+        deep = n0 + 1
+        while d**deep < 4 * d**n0 + 4:
+            deep += 1
+        for n in range(n0 + 1, deep):
+            for i in range(d**n):
+                lift_row(i, n)
+        for c in range(d**n0):
+            # offsets centred modulo the circle length d^(deep + r)
+            rows.append(tuple(
+                (r, (w.index(d) - d**r * c + d**w.level // 2) % d**w.level - d**w.level // 2, p)
+                for r, w, p in lift_row(c, deep)))
+        return rows
+
+    def row_id(self, n: int, i: int) -> int:
+        d, n0 = self.realization.degree, self.base_level
+        return (d ** min(n, n0 + 1) - 1) // (d - 1) + i % d**n0
+
+    def _targets(self, n: int, i: int) -> list[tuple[int, int, Fraction]]:
+        """(level, index, probability) of each transition out of (n, i)."""
+        if n + 1 > self.depth_limit:
+            raise LevelOverflowError(f"transition past depth limit {self.depth_limit}")
         d = self.realization.degree
-        result = []
-        for back in range(1, self.radius + 1):
-            n = m - back
-            if n < 0:
-                break
-            if n == 0:
-                if any(w == v for w, p in self.outgoing(ROOT) if p > 0):
-                    result.append(ROOT)
-                continue
-            center = v.index(d) // d ** (m - n)
-            span = int(self.reach) + 2
-            for i in range(center - span, center + span + 1):
-                u = Word.from_index(i, n, d)
-                if any(w == v and p > 0 for w, p in self.outgoing(u)):
-                    result.append(u)
+        return [(n + r, (d**r * i + offset) % d ** (n + r), p)
+                for r, offset, p in self.rows[self.row_id(n, i)]]
+
+    def _sources(self, m: int, j: int) -> list[tuple[int, int]]:
+        """(level, index) of each tile with a positive transition to (m, j)."""
+        d, n0 = self.realization.degree, self.base_level
+        result = list(self._window_sources.get((m, j), ()))
+        for r in range(1, min(self.radius, m - n0 - 1) + 1):
+            for offset in self._class_offsets.get((r, j % d ** (n0 + r)), ()):
+                # d^r i + offset = j (mod d^m) fixes i mod d^(m-r)
+                source = (m - r, (j - offset) // d**r % d ** (m - r))
+                if source not in result:
+                    result.append(source)
         return result
 
+    def outgoing(self, u: Word) -> tuple[tuple[Word, Fraction], ...]:
+        if u.level <= self.base_level and u.level < self.depth_limit:
+            return self.window[u]           # the window rows, as Words
+        d = self.realization.degree
+        return tuple((Word.from_index(j, m, d), p)
+                     for m, j, p in self._targets(u.level, u.index(d)))
+
+    def predecessors(self, v: Word) -> list[Word]:
+        d = self.realization.degree
+        return [Word.from_index(i, n, d) for n, i in self._sources(v.level, v.index(d))]
+
     def weight(self, u: Word, v: Word) -> Fraction:
-        for w, p in self.outgoing(u):
-            if w == v:
-                return p
-        return Fraction(0)
+        return sum((p for w, p in self.outgoing(u) if w == v), Fraction(0))
 
     def __repr__(self):
         return (f"EquivariantTableKernel(base_level={self.base_level}, "
                 f"radius={self.radius})")
 
 
-Kernel = DoublingKernel | EquivariantTableKernel
+class DoublingKernel(EquivariantTableKernel):
+    """The family p_x: the table ``doubling_table_spec(x)``, with
+    index-level accessors for the degree-2 circle graph."""
+
+    def __init__(self, x: Fraction, graph: TileGraph | None = None,
+                 depth_limit: int = DEFAULT_DEPTH_LIMIT):
+        self.x = Fraction(x)
+        realization = graph.realization if graph else CircleRealization(2)
+        if realization.degree != 2:
+            raise KernelError("doubling kernel needs a degree-2 realization")
+        super().__init__(doubling_table_spec(self.x), graph, realization, depth_limit)
+
+    def targets_index(self, i: int, n: int) -> list[tuple[int, Fraction]]:
+        """(index, probability) of each transition out of (n, i)."""
+        return [(j, p) for _, j, p in self._targets(n, i)]
+
+    def predecessors_index(self, j: int, m: int) -> list[int]:
+        """Index of each level-(m-1) tile with a positive step to (m, j)."""
+        return [i for _, i in self._sources(m, j)]
+
+    def __repr__(self):
+        return f"DoublingKernel(x={self.x})"
+
+
+Kernel = EquivariantTableKernel
 
 
 def doubling_kernel(x: Fraction, graph: TileGraph | None = None,
@@ -323,13 +308,23 @@ def extend_by_equivariance(spec: TableSpec, graph: TileGraph | None = None,
 
 
 def doubling_table_spec(x: Fraction, base_level: int = 2) -> TableSpec:
-    """The doubling family restricted to sources of level <= base_level."""
-    kernel = DoublingKernel(Fraction(x))
-    entries = []
-    for n in range(base_level + 1):
-        for i in range(2**n if n else 1):
+    """The doubling family p_x, 0 < x < 1, on sources of level <= base_level:
+    from the root, x-weighted choice between the two level-1 tiles; from
+    the tile indexed i at level n, one step to the four level-(n+1) tiles
+    indexed 2i-1 .. 2i+2 (mod 2^(n+1)), with weight x on the index
+    congruent to 2 mod 4 and weight y = (1-x)/3 on the rest."""
+    x = Fraction(x)
+    if not 0 < x < 1:
+        raise KernelError(f"x must lie in (0,1), got {x}")
+    y = (1 - x) / 3
+    entries = [(ROOT, Word.from_index(0, 1, 2), (2 - 2 * x) / 3),
+               (ROOT, Word.from_index(1, 1, 2), (1 + 2 * x) / 3)]
+    for n in range(1, base_level + 1):
+        for i in range(2**n):
             u = Word.from_index(i, n, 2)
-            entries.extend((u, w, p) for w, p in kernel.outgoing(u))
+            for j in (2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 2):
+                j %= 2 ** (n + 1)
+                entries.append((u, Word.from_index(j, n + 1, 2), x if j % 4 == 2 else y))
     return TableSpec(base_level, tuple(entries))
 
 

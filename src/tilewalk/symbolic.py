@@ -259,12 +259,6 @@ class CircleRealization:
         d = self.degree
         return [TileInterval(Fraction(k, d), Fraction(k + 1, d)) for k in range(d)]
 
-    def apply_map(self, x: Fraction) -> Fraction:
-        return (Fraction(x) * self.degree) % 1
-
-    def word(self, index: int, level: int) -> Word:
-        return Word.from_index(index, level, self.degree)
-
     def __eq__(self, other):
         return isinstance(other, CircleRealization) and other.degree == self.degree
 

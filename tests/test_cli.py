@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +197,13 @@ def test_checks_multiplicativity_attempt_cap(tmp_path, monkeypatch):
             if not line.startswith("#")]
     mult = next(r for r in rows if r[0] == "multiplicativity")
     assert mult[1:] == ["FAIL", "0 quadruples in 4000 attempts"]
+
+
+def test_classify_x_replaces_scenario_grid(tmp_path):
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "reference.scn"
+    rc = main(["classify", "--scenario", str(scenario), "--x", "3/5",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    lines = (tmp_path / "classify.tsv").read_text().splitlines()
+    body = [line for line in lines if not line.startswith("#")][1:]
+    assert [row.split("\t")[:2] for row in body] == [["3/5", "non_injective"]]

@@ -1,7 +1,7 @@
 """Differential tests: the array-backed sampler, the batched F(o, .) routine,
-the binning, the samples.tsv formatting and the integer lift of table
-kernels against per-path reference code, the exact Fraction DPs and the
-Fraction tile geometry."""
+the binning, the samples.tsv formatting, the integer lift of table kernels
+and their compiled rows against per-path reference code, the exact
+Fraction DPs, the Fraction tile geometry and the lift itself."""
 
 import random
 from fractions import Fraction as F
@@ -23,6 +23,7 @@ from tilewalk.ergodics import (
 )
 from tilewalk.green_martin import green_table, hitting_vector
 from tilewalk.kernels import (
+    LiftAmbiguityError,
     TableSpec,
     _arc_gap,
     doubling_kernel,
@@ -99,10 +100,25 @@ def test_doubling_sampler_matches_reference_loop(x, n_steps, workers):
         assert max(s.final_index for s in samples) >= 2**63   # past int64
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_table_sampler_matches_reference_loop(workers):
-    k = extend_by_equivariance(doubling_table_spec(F(3, 5), 2),
-                               realization=CircleRealization(2))
+def _far_reach_table():
+    o_row = [(ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2))]
+    far = [
+        (parse_word("0"), Word.from_index(0, 2, 2), F(1, 2)),
+        (parse_word("0"), Word.from_index(5, 3, 2), F(1, 2)),
+        (parse_word("1"), Word.from_index(2, 2, 2), F(1, 2)),
+        (parse_word("1"), Word.from_index(1, 3, 2), F(1, 2)),
+    ]
+    return TableSpec(1, tuple(o_row + far))
+
+
+_SAMPLER_SPECS = [(doubling_table_spec(F(3, 5), 2), 1), (doubling_table_spec(F(3, 5), 2), 3),
+                  (_far_reach_table(), 1), (_far_reach_table(), 3)]
+
+
+@pytest.mark.parametrize("spec,workers", _SAMPLER_SPECS,
+                         ids=["1", "3", "far-reach-1", "far-reach-3"])
+def test_table_sampler_matches_reference_loop(spec, workers):
+    k = extend_by_equivariance(spec, realization=CircleRealization(2))
     samples = sample_paths(k, 520, 7, seed=5, workers=workers)
     assert _rows(samples) == _reference_paths(k, 520, 7, 5, _reference_generic)
 
@@ -148,17 +164,6 @@ def _reference_lift(kernel, u, w_prime):
     return matches
 
 
-def _far_reach_table():
-    o_row = [(ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2))]
-    far = [
-        (parse_word("0"), Word.from_index(0, 2, 2), F(1, 2)),
-        (parse_word("0"), Word.from_index(5, 3, 2), F(1, 2)),
-        (parse_word("1"), Word.from_index(2, 2, 2), F(1, 2)),
-        (parse_word("1"), Word.from_index(1, 3, 2), F(1, 2)),
-    ]
-    return TableSpec(1, tuple(o_row + far))
-
-
 @pytest.mark.parametrize("spec", [doubling_table_spec(F(3, 5), 2),
                                   doubling_table_spec(F(1, 3), 3),
                                   doubling_table_spec(F(2, 7), 1),
@@ -178,6 +183,76 @@ def test_table_lift_matches_fraction_geometry(spec, data):
         base = shift(base)
     for w_prime, _ in k.window[base]:
         assert [k._lift(u, w_prime)] == _reference_lift(k, u, w_prime)
+
+
+_LIFT_SPECS = [doubling_table_spec(F(3, 5), 2), doubling_table_spec(F(1, 3), 3),
+               doubling_table_spec(F(2, 7), 1), _far_reach_table()]
+_LIFT_IDS = ["x=3/5,N0=2", "x=1/3,N0=3", "x=2/7,N0=1", "far-reach"]
+
+
+def _lifted_row(k, u):
+    """The outgoing row of u lifted from the window row of sigma^(n-N0) u."""
+    base = u
+    for _ in range(u.level - k.base_level):
+        base = shift(base)
+    return tuple((k._lift(u, w_prime), p) for w_prime, p in k.window[base])
+
+
+@pytest.mark.parametrize("spec", _LIFT_SPECS, ids=_LIFT_IDS)
+def test_compiled_rows_match_lift_on_shallow_levels(spec):
+    k = extend_by_equivariance(spec, realization=CircleRealization(2))
+    for n in range(k.base_level + 1, k.base_level + 7):
+        for i in range(2**n):
+            u = Word.from_index(i, n, 2)
+            assert k.outgoing(u) == _lifted_row(k, u)
+
+
+@pytest.mark.parametrize("spec", _LIFT_SPECS, ids=_LIFT_IDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_compiled_rows_match_lift_deep(spec, data):
+    k = extend_by_equivariance(spec, realization=CircleRealization(2))
+    n = data.draw(st.integers(k.base_level + 1, 60))
+    i = data.draw(st.one_of(st.sampled_from([0, 1, 2**n - 2, 2**n - 1]),
+                            st.integers(0, 2**n - 1)))
+    u = Word.from_index(i, n, 2)
+    assert k.outgoing(u) == _lifted_row(k, u)
+
+
+def _uneven_table():
+    """Suffix classes with different supports: 0 splits, 1 steps to 10."""
+    o_row = [(ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2))]
+    rows = [(parse_word("0"), parse_word("00"), F(1, 2)),
+            (parse_word("0"), parse_word("01"), F(1, 2)),
+            (parse_word("1"), parse_word("10"), F(1))]
+    return TableSpec(1, tuple(o_row + rows))
+
+
+@pytest.mark.parametrize("spec", _LIFT_SPECS + [_uneven_table()], ids=_LIFT_IDS + ["uneven"])
+def test_compiled_predecessors_match_brute_force(spec):
+    k = extend_by_equivariance(spec, realization=CircleRealization(2))
+    top = k.base_level + 5
+    sources = {}
+    for n in range(top):
+        for i in range(2**n):
+            u = Word.from_index(i, n, 2)
+            for w, p in k.outgoing(u):
+                if p > 0:
+                    sources.setdefault(w, set()).add(u)
+    for m in range(top + 1):
+        for j in range(2**m):
+            v = Word.from_index(j, m, 2)
+            preds = k.predecessors(v)
+            assert len(preds) == len(set(preds))
+            assert set(preds) == sources.get(v, set())
+
+
+def test_ambiguous_lift_raises_when_built():
+    # base level 0: over u = 0 the window target 0 lifts both to 00, inside
+    # A_u, and to 10, which touches A_u at 1/2
+    spec = TableSpec(0, ((ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2))))
+    with pytest.raises(LiftAmbiguityError):
+        extend_by_equivariance(spec, realization=CircleRealization(2))
 
 
 # -- batched F(o, .) --------------------------------------------------------------

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from tilewalk.symbolic import ROOT, CircleRealization, Word, parse_word, tile_of
 from tilewalk.tile_graph import build_graph
+from tilewalk import green_martin
 from tilewalk.kernels import doubling_kernel, doubling_table_spec, extend_by_equivariance
 from tilewalk.green_martin import (
+    SHADOW_LRU_SIZE,
     ClassificationInvariantError,
     brute_force_hitting,
     check_multiplicative,
@@ -329,3 +331,15 @@ def test_classification_invariant_raises(monkeypatch):
     with pytest.raises(ClassificationInvariantError):
         classify_doubling_boundary(F(3, 10))
     assert classify_doubling_boundary(F(1, 2)).verdict == "non_injective"
+
+
+def test_shadow_lru_stays_within_bound():
+    k = doubling_kernel(F(1, 3))
+    first = shadow_set(k, w(0, 9), 10)
+    assert shadow_set(k, w(0, 9), 10) is first          # kept
+    for i in range(1, SHADOW_LRU_SIZE + 40):
+        shadow_set(k, w(i, 9), 10)
+        assert len(green_martin._shadows) <= SHADOW_LRU_SIZE
+    assert len(green_martin._shadows) == SHADOW_LRU_SIZE
+    assert (k, w(0, 9), 10) not in green_martin._shadows     # least recent went
+    assert shadow_set(k, w(0, 9), 10) == first
