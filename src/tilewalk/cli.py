@@ -434,7 +434,8 @@ def _cmd_hyperbolicity(scn: Scenario, out: OutputWriter, workers: int) -> int:
             fh.write(f"{c}\t{fmt_frac(rep.delta)}\t{rep.exhaustive}\t"
                      f"{rep.n_triples}\t"
                      f"{','.join(str(w) for w in rep.witness)}\n")
-        for lvl in (6, min(8, scn.max_level)):
+        pair_levels = {min(6, scn.max_level), min(8, scn.max_level)}
+        for lvl in sorted(p for p in pair_levels if p >= 1):
             comp = diameter_comparability(graph, lvl)
             fh.write(f"diam_comparability_{lvl}\t{fmt_real(comp.constant)}\t-\t-\t"
                      f"{','.join(str(w) for w in comp.worst_pair)}\n")

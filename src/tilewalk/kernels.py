@@ -28,9 +28,8 @@ from .symbolic import (
     parse_word,
     shift,
     tile_of,
-    tiles_intersect,
 )
-from .tile_graph import TileGraph, bfs_distances
+from .tile_graph import TileGraph, distance_table
 
 DEFAULT_DEPTH_LIMIT = 64
 
@@ -371,7 +370,6 @@ def validate_assumptions(kernel: Kernel, graph: TileGraph | None = None) -> Vali
     graph = graph or kernel.graph
     if graph is None:
         raise KernelError("validation needs a materialized graph")
-    realization = graph.realization
     top = graph.max_level - 1
     if top < kernel.base_level + 1:
         raise KernelError("graph too shallow: need max_level >= base_level + 2")
@@ -382,13 +380,16 @@ def validate_assumptions(kernel: Kernel, graph: TileGraph | None = None) -> Vali
     bounded = AssumptionResult(True)
     minimal_radius = 0
 
+    # rows: the vertices of levels <= top, in graph.vertices order
+    dist = distance_table(graph, top)
+    index = {u: i for i, u in enumerate(graph.vertices)}
     for level in range(top + 1):
         for u in graph.levels[level]:
             out = kernel.outgoing(u)
             total = sum((p for _, p in out), Fraction(0))
             if total != 1 and row_sums.ok:
                 row_sums = AssumptionResult(False, f"row sum {total} at {u}")
-            dists = bfs_distances(graph, u)
+            row = dist[index[u]]
             supported = set()
             for w, p in out:
                 if p <= 0:
@@ -396,15 +397,15 @@ def validate_assumptions(kernel: Kernel, graph: TileGraph | None = None) -> Vali
                 supported.add(w)
                 if w.level <= u.level and level_inc.ok:
                     level_inc = AssumptionResult(False, f"{u} -> {w}")
-                if w in dists:
-                    minimal_radius = max(minimal_radius, dists[w])
-                elif bounded.ok and w.level > graph.max_level:
-                    pass        # beyond truncation; still a level-(+R) jump
-            if level + 1 <= graph.max_level:
-                for v in graph.levels[level + 1]:
-                    if tiles_intersect(realization, u, v) and v not in supported:
-                        if coverage.ok:
-                            coverage = AssumptionResult(False, f"missing {u} -> {v}")
+                if w in index:      # targets beyond the truncation have no row
+                    minimal_radius = max(minimal_radius, int(row[index[w]]))
+            if coverage.ok:
+                # the touching children of u are its next-level neighbours
+                missing = [v for v in graph.neighbors(u)
+                           if v.level == level + 1 and v not in supported]
+                if missing:
+                    v = min(missing, key=index.__getitem__)
+                    coverage = AssumptionResult(False, f"missing {u} -> {v}")
 
     def equivariant_at(u: Word) -> bool:
         pushed: dict[Word, Fraction] = {}

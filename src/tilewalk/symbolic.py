@@ -1,8 +1,10 @@
 """Symbolic words over a Markov partition and the degree-d circle realization.
 
 Words are finite admissible symbol strings; each word names a tile, a closed
-d-adic interval of the circle R/Z.  All tile arithmetic is exact rational:
-adjacency and intersection decisions never touch floating point.
+d-adic interval of the circle R/Z.  All tile arithmetic is exact: single
+queries use Fractions (``TileInterval``, ``arcs_diameter``), and the
+intersection test and the batched tile-pair diameters use integer arcs at a
+common denominator d**m, so no decision touches floating point.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 # A symbol is a plain partition index in {0, ..., N}.
 Symbol = int
@@ -316,3 +320,41 @@ def tiles_intersect(realization: CircleRealization, u: Word, v: Word) -> bool:
     a = u.index(d) * scale          # [a, a + scale] vs [b, b + 1] mod big
     b = v.index(d)
     return (b - a) % big <= scale or (a - b) % big <= 1
+
+
+def tile_arcs(realization: CircleRealization, words: list[Word],
+              level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer arcs ``[start, start + width]`` of the tiles of ``words`` at the
+    common denominator d**level (every word of level <= ``level``); the root
+    is the whole circle ``[0, d**level]``.
+
+    ``2 * d**level`` must stay below 2**53, so that the arcs, the doubled
+    widths of ``pair_diameters`` and their quotients by the denominator are
+    exact in int64 and float64.
+    """
+    d = realization.degree
+    if 2 * d**level >= 2**53:
+        raise ValueError(f"common denominator {d}**{level} too large for exact arcs")
+    if any(u.level > level for u in words):
+        raise ValueError(f"tile deeper than the common level {level}")
+    width = np.array([d ** (level - u.level) for u in words], dtype=np.int64)
+    start = np.array([u.index(d) for u in words], dtype=np.int64) * width
+    return start, width
+
+
+def pair_diameters(start_a, width_a, start_b, width_b, big: int) -> np.ndarray:
+    """Arc-metric diameters of the unions A u B of integer arcs on the circle
+    Z/big, as numerators over 2*big; broadcasts like numpy arithmetic.
+
+    The smallest arc holding A u B starts where A or B starts: it is the
+    shorter of the arc from A's start to the farther of the two ends, and the
+    arc from B's start likewise (a width >= big is the whole circle).  That is
+    the union when A and B meet, and otherwise the circle less the larger gap.
+    The diameter is this hull width capped at half the circle, as in
+    ``arcs_diameter``.
+    """
+    ahead = (start_b - start_a) % big       # B's start, seen from A's start
+    behind = (start_a - start_b) % big      # A's start, seen from B's start
+    hull = np.minimum(np.maximum(width_a, ahead + width_b),
+                      np.maximum(width_b, behind + width_a))
+    return np.minimum(2 * hull, big)

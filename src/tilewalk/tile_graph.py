@@ -6,6 +6,12 @@ whose levels differ by at most one and whose closed tiles intersect.  All
 metric quantities computed here are valid for vertex pairs inside the
 truncation: in this layered graph a geodesic between two vertices never
 needs to visit levels deeper than both endpoints (spot-checked in tests).
+
+Single queries (``graph_distance``, ``bfs_distances``) walk the adjacency
+in Python.  The all-pairs diagnostics read one ``distance_table``, a numpy
+breadth-first sweep from all sources at once, and ``diameter_comparability``
+takes its tile-pair diameters as integers from ``symbolic.pair_diameters``;
+both agree exactly with the single-query forms.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ import numpy as np
 from .symbolic import (
     ROOT,
     CircleRealization,
-    TileInterval,
     Word,
-    arcs_diameter,
     enumerate_level,
+    pair_diameters,
+    tile_arcs,
     tile_of,
     tiles_intersect,
 )
@@ -219,16 +225,57 @@ class HyperbolicityReport:
     n_triples: int
 
 
+def distance_table(graph: TileGraph, source_level: int) -> np.ndarray:
+    """Graph distances from every vertex of level <= ``source_level`` (rows)
+    to every vertex of the truncated graph (columns), both in
+    ``graph.vertices`` order, as an int8 array: a distance is at most
+    2 * max_level (through the root), and a graph of level 64 would need
+    2**64 vertices.
+
+    One breadth-first sweep serves all sources at once: the frontier is a
+    (source, vertex) bit array, eight sources to a byte, and each step ORs
+    it gathered through a neighbour-index array, one neighbour slot at a
+    time.  ``bfs_distances`` is the single-source form.
+    """
+    verts = graph.vertices
+    n = len(verts)
+    index = {u: i for i, u in enumerate(verts)}
+    n_src = sum(len(level) for level in graph.levels[: source_level + 1])
+    slots = max((len(nbrs) for nbrs in graph.adjacency.values()), default=0)
+    # a vertex pads its unused slots with itself: it is in the frontier
+    # only when it has been seen already
+    nbr = np.tile(np.arange(n), (slots, 1))
+    for i, u in enumerate(verts):
+        for k, v in enumerate(graph.neighbors(u)):
+            nbr[k, i] = index[v]
+    # source s is bit s % 8 of byte row s // 8
+    src = np.arange(n_src)
+    frontier = np.zeros((-(-n_src // 8), n), dtype=np.uint8)
+    frontier[src // 8, src] = 1 << (src % 8)
+    seen = frontier.copy()
+    gathered = np.empty_like(frontier)
+    dist = np.full((n_src, n), -1, dtype=np.int8)
+    step = 0
+    while frontier.any():
+        at_step = np.unpackbits(frontier, axis=0, count=n_src, bitorder="little")
+        np.copyto(dist, step, where=at_step.view(bool))
+        reached = np.zeros_like(frontier)
+        for row in nbr:
+            np.take(frontier, row, axis=1, out=gathered)
+            reached |= gathered
+        reached &= ~seen
+        seen |= reached
+        frontier = reached
+        step += 1
+    if (dist < 0).any():
+        raise TruncationError("the truncated graph is disconnected")
+    return dist
+
+
 def _vertex_arrays(graph: TileGraph, level_cutoff: int):
     verts = [u for level in graph.levels[: level_cutoff + 1] for u in level]
-    index = {u: i for i, u in enumerate(verts)}
     n = len(verts)
-    dist = np.zeros((n, n), dtype=np.int32)
-    for u in verts:
-        du = bfs_distances(graph, u)
-        i = index[u]
-        for v in verts:
-            dist[i, index[v]] = du[v]
+    dist = distance_table(graph, level_cutoff)[:, :n]
     levels = np.array([u.level for u in verts], dtype=np.int32)
     return verts, levels, dist
 
@@ -244,6 +291,8 @@ def hyperbolicity_delta(graph: TileGraph, level_cutoff: int,
     (the report records which).  Products are handled as doubled integers so
     the returned delta is an exact half-integer.
     """
+    if level_cutoff < 0:
+        raise ValueError(f"level cutoff must be >= 0, got {level_cutoff}")
     if level_cutoff > graph.max_level:
         raise TruncationError("cutoff exceeds truncation level")
     verts, levels, dist = _vertex_arrays(graph, level_cutoff)
@@ -295,32 +344,32 @@ class DiameterComparabilityReport:
 def diameter_comparability(graph: TileGraph, pair_level: int) -> DiameterComparabilityReport:
     """Compare arc diameters of tile pairs against e^(-a<u,v>_o), a = log d.
 
-    Diameters are exact rationals; only the final ratios are floats.
+    Diameters are exact integers over 2 d^pair_level (``pair_diameters``);
+    only the final ratios are floats.  Pairs are scanned row by row, so the
+    temporaries stay linear in the vertex count.
     """
+    if pair_level < 1:
+        raise ValueError(f"pair level must be >= 1 (pairs of non-root tiles), "
+                         f"got {pair_level}")
     if pair_level > graph.max_level:
         raise TruncationError("pair level exceeds truncation level")
-    realization = graph.realization
-    d = realization.degree
+    d = graph.realization.degree
     verts, levels, dist = _vertex_arrays(graph, pair_level)
-    tiles = [tile_of(realization, u) for u in verts]
+    big = d**pair_level
+    start, width = tile_arcs(graph.realization, verts, pair_level)
+    scale = np.array([d ** (k / 2) for k in range(2 * pair_level + 1)])
     max_ratio = 0.0
     min_ratio = math.inf
     worst = (verts[0], verts[0])
-    for i, u in enumerate(verts):
-        if u.is_root():
-            continue
-        for j in range(i, len(verts)):
-            v = verts[j]
-            if v.is_root():
-                continue
-            diam = arcs_diameter([tiles[i], tiles[j]])
-            g2 = int(levels[i] + levels[j] - dist[i, j])
-            ratio = float(diam) * d ** (g2 / 2)
-            if ratio > max_ratio:
-                max_ratio = ratio
-                worst = (u, v)
-            if ratio < min_ratio:
-                min_ratio = ratio
+    for i in range(1, len(verts)):      # verts[0] is the root
+        num = pair_diameters(start[i], width[i], start[i:], width[i:], big)
+        g2 = levels[i] + levels[i:] - dist[i, i:]
+        ratio = (num / (2 * big)) * scale[g2]
+        j = int(np.argmax(ratio))
+        if ratio[j] > max_ratio:
+            max_ratio = float(ratio[j])
+            worst = (verts[i], verts[i + j])
+        min_ratio = min(min_ratio, float(ratio.min()))
     constant = max(max_ratio, 1.0 / min_ratio)
     return DiameterComparabilityReport(pair_level, constant, max_ratio,
                                        min_ratio, worst)

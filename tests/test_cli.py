@@ -207,3 +207,18 @@ def test_classify_x_replaces_scenario_grid(tmp_path):
     lines = (tmp_path / "classify.tsv").read_text().splitlines()
     body = [line for line in lines if not line.startswith("#")][1:]
     assert [row.split("\t")[:2] for row in body] == [["3/5", "non_injective"]]
+
+
+@pytest.mark.parametrize("max_level,rows", [
+    (5, ["4", "5", "diam_comparability_5"]),
+    (6, ["4", "5", "6", "diam_comparability_6"]),
+    (8, ["4", "5", "6", "diam_comparability_6", "diam_comparability_8"]),
+])
+def test_hyperbolicity_pair_levels_follow_max_level(tmp_path, max_level, rows):
+    scn = parse_scenario(REFERENCE_SCENARIO.replace("run.max_level = 8",
+                                                    f"run.max_level = {max_level}"))
+    assert scn.max_level == max_level
+    assert run_command("hyperbolicity", scn, tmp_path) == EXIT_OK
+    lines = (tmp_path / "hyperbolicity.tsv").read_text().splitlines()
+    body = [line for line in lines if not line.startswith("#")][1:]
+    assert [row.split("\t")[0] for row in body] == rows

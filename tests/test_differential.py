@@ -1,8 +1,11 @@
 """Differential tests: the array-backed sampler, the batched F(o, .) routine,
 the binning, the samples.tsv formatting, the integer lift of table kernels
-and their compiled rows against per-path reference code, the exact
-Fraction DPs, the Fraction tile geometry and the lift itself."""
+and their compiled rows, the integer tile-pair diameters, the level-sweep
+distance table and the geometry and validation built on them against
+per-path and per-vertex reference code, the exact Fraction DPs, the
+Fraction tile geometry and the lift itself."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,14 +26,34 @@ from tilewalk.ergodics import (
 )
 from tilewalk.green_martin import green_table, hitting_vector
 from tilewalk.kernels import (
+    AssumptionResult,
     LiftAmbiguityError,
     TableSpec,
     _arc_gap,
     doubling_kernel,
     doubling_table_spec,
     extend_by_equivariance,
+    validate_assumptions,
 )
-from tilewalk.symbolic import ROOT, CircleRealization, Word, parse_word, shift, tile_of
+from tilewalk.symbolic import (
+    ROOT,
+    CircleRealization,
+    Word,
+    arcs_diameter,
+    pair_diameters,
+    parse_word,
+    shift,
+    tile_arcs,
+    tile_of,
+    tiles_intersect,
+)
+from tilewalk.tile_graph import (
+    bfs_distances,
+    build_graph,
+    diameter_comparability,
+    distance_table,
+    hyperbolicity_delta,
+)
 
 
 # -- per-path reference sampler --------------------------------------------------
@@ -364,3 +387,218 @@ def test_samples_tsv_rows_match_word_formatting(tmp_path):
     samples = sample_paths(doubling_kernel(F(3, 5)), 700, 20, seed=1)
     assert body == [f"{s.path_index}\t{s.stream_seed}\t{s.final_word}\t"
                     f"{fmt_frac(s.final_midpoint())}" for s in samples]
+
+
+# -- integer tile-pair diameters ---------------------------------------------------
+
+
+def _integer_diameter(d, u, v, top):
+    start, width = tile_arcs(CircleRealization(d), [u, v], top)
+    num = pair_diameters(start[0], width[0], start[1], width[1], d**top)
+    return F(int(num), 2 * d**top)
+
+
+@given(st.integers(2, 5), st.integers(0, 6), st.integers(0, 6), st.integers(0, 2),
+       st.sampled_from(["any", "wrap", "nested"]), st.data())
+@settings(max_examples=400, deadline=None)
+def test_pair_diameter_matches_fraction_arcs(d, n, m, extra, kind, data):
+    def index(level):
+        if kind == "wrap":      # tiles next to the wraparound point 0 == 1
+            return data.draw(st.sampled_from([0, 1, d**level - 2, d**level - 1])) % d**level
+        return data.draw(st.integers(0, d**level - 1))
+
+    u = Word.from_index(index(n), n, d)
+    if kind == "nested":        # v a descendant of u
+        tail = data.draw(st.integers(0, d**m - 1))
+        v = Word.from_index(u.index(d) * d**m + tail, n + m, d)
+    else:
+        v = Word.from_index(index(m), m, d)
+    r = CircleRealization(d)
+    expected = arcs_diameter([tile_of(r, u), tile_of(r, v)])
+    top = max(u.level, v.level) + extra
+    assert _integer_diameter(d, u, v, top) == expected
+    assert _integer_diameter(d, v, u, top) == expected
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_pair_diameter_rows_match_fraction_arcs(d, n):
+    """All pairs of levels <= n, one row at a time as diameter_comparability
+    evaluates them: touching, disjoint, nested and covering pairs."""
+    r = CircleRealization(d)
+    words = build_graph(r, n).vertices
+    start, width = tile_arcs(r, words, n)
+    for i, u in enumerate(words):
+        row = pair_diameters(start[i], width[i], start, width, d**n)
+        for j, v in enumerate(words):
+            assert F(int(row[j]), 2 * d**n) == arcs_diameter([tile_of(r, u), tile_of(r, v)])
+
+
+def test_tile_arcs_reject_deeper_tiles_and_inexact_denominators():
+    with pytest.raises(ValueError, match="deeper"):
+        tile_arcs(CircleRealization(2), [Word.from_index(0, 3, 2)], 2)
+    with pytest.raises(ValueError, match="too large"):
+        tile_arcs(CircleRealization(2), [ROOT], 52)
+    assert tile_arcs(CircleRealization(2), [ROOT], 51)[1].tolist() == [2**51]
+
+
+# -- the level-sweep distance table ------------------------------------------------
+
+
+@pytest.mark.parametrize("d,L", [(2, 8), (3, 5)])
+def test_distance_table_matches_bfs(d, L):
+    graph = build_graph(CircleRealization(d), L)
+    verts = graph.vertices
+    table = distance_table(graph, L)
+    assert table.shape == (len(verts), len(verts))
+    for i, u in enumerate(verts):
+        du = bfs_distances(graph, u)
+        assert table[i].tolist() == [du[v] for v in verts], u
+    for k in range(L):
+        n_src = sum(len(level) for level in graph.levels[: k + 1])
+        assert np.array_equal(distance_table(graph, k), table[:n_src])
+
+
+def test_distance_table_of_the_root_graph():
+    graph = build_graph(CircleRealization(3), 0)
+    assert distance_table(graph, 0).tolist() == [[0]]
+
+
+# -- hyperbolicity and diameter comparability against per-vertex references -------
+
+
+def _reference_arrays(graph, cutoff):
+    """The per-vertex BFS distance matrix of levels <= cutoff."""
+    verts = [u for level in graph.levels[: cutoff + 1] for u in level]
+    rows = [bfs_distances(graph, u) for u in verts]
+    dist = np.array([[du[v] for v in verts] for du in rows])
+    return verts, np.array([u.level for u in verts]), dist
+
+
+def _reference_delta(graph, cutoff, triple_budget, sample_size, seed):
+    verts, levels, dist = _reference_arrays(graph, cutoff)
+    n = len(verts)
+    g2 = (levels[:, None] + levels[None, :] - dist).tolist()
+    best, witness = -1, (0, 0, 0)
+    if n**3 <= triple_budget:     # first strict maximum in (z, x, y) order
+        for z in range(n):
+            for x in range(n):
+                for y in range(n):
+                    val = min(g2[x][z], g2[z][y]) - g2[x][y]
+                    if val > best:
+                        best, witness = val, (x, y, z)
+    else:
+        rng = random.Random(seed)
+        for _ in range(sample_size):
+            x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            val = min(g2[x][z], g2[z][y]) - g2[x][y]
+            if val > best:
+                best, witness = val, (x, y, z)
+    return F(max(best, 0), 2), tuple(verts[i] for i in witness) + (ROOT,)
+
+
+def _reference_comparability(graph, pair_level):
+    """Fraction arcs_diameter over every pair, first strict maximum in
+    row-major order."""
+    r, d = graph.realization, graph.realization.degree
+    verts, levels, dist = _reference_arrays(graph, pair_level)
+    max_ratio, min_ratio, worst = 0.0, math.inf, None
+    for i in range(1, len(verts)):
+        for j in range(i, len(verts)):
+            diam = arcs_diameter([tile_of(r, verts[i]), tile_of(r, verts[j])])
+            g2 = int(levels[i] + levels[j] - dist[i, j])
+            ratio = float(diam) * d ** (g2 / 2)
+            if ratio > max_ratio:
+                max_ratio, worst = ratio, (verts[i], verts[j])
+            min_ratio = min(min_ratio, ratio)
+    return max(max_ratio, 1.0 / min_ratio), max_ratio, min_ratio, worst
+
+
+@pytest.mark.parametrize("d,L,cutoffs", [(3, 3, (1, 2, 3)), (2, 6, (4, 5, 6))])
+def test_hyperbolicity_matches_reference_loop(d, L, cutoffs):
+    graph = build_graph(CircleRealization(d), L)
+    for c in cutoffs:
+        rep = hyperbolicity_delta(graph, c)
+        assert rep.exhaustive
+        assert (rep.delta, rep.witness) == _reference_delta(graph, c, 30_000_000, 0, 0)
+    sampled = hyperbolicity_delta(graph, L, triple_budget=100, sample_size=3000, seed=4)
+    assert not sampled.exhaustive
+    assert (sampled.delta, sampled.witness) == _reference_delta(graph, L, 100, 3000, 4)
+
+
+@pytest.mark.parametrize("d,L", [(3, 4), (2, 4), (2, 5), (2, 6)])
+def test_diameter_comparability_matches_reference_loop(d, L):
+    graph = build_graph(CircleRealization(d), L)
+    for level in sorted({1, L // 2, L}):
+        rep = diameter_comparability(graph, level)
+        constant, max_ratio, min_ratio, worst = _reference_comparability(graph, level)
+        assert rep.constant == constant
+        assert rep.max_ratio == max_ratio
+        assert rep.min_ratio == min_ratio
+        assert rep.worst_pair == worst
+
+
+# -- validate_assumptions against the per-vertex version ---------------------------
+
+
+def _reference_validation(kernel, graph):
+    """Row sums, level increase, coverage and minimal radius as scanned
+    with one bfs_distances per vertex and tiles_intersect per child."""
+    row_sums = level_inc = coverage = AssumptionResult(True)
+    minimal_radius = 0
+    for level in range(graph.max_level):
+        for u in graph.levels[level]:
+            out = kernel.outgoing(u)
+            total = sum((p for _, p in out), F(0))
+            if total != 1 and row_sums.ok:
+                row_sums = AssumptionResult(False, f"row sum {total} at {u}")
+            dists = bfs_distances(graph, u)
+            supported = set()
+            for w, p in out:
+                if p <= 0:
+                    continue
+                supported.add(w)
+                if w.level <= u.level and level_inc.ok:
+                    level_inc = AssumptionResult(False, f"{u} -> {w}")
+                if w in dists:
+                    minimal_radius = max(minimal_radius, dists[w])
+            for v in graph.levels[level + 1]:
+                if (tiles_intersect(graph.realization, u, v) and v not in supported
+                        and coverage.ok):
+                    coverage = AssumptionResult(False, f"missing {u} -> {v}")
+    return row_sums, level_inc, coverage, minimal_radius
+
+
+class _DroppedChildren:
+    """A kernel that drops the first and the last touching child of every
+    level-3 vertex, folding their mass into the second; at 000 the dropped
+    children lie on both sides of the wraparound point."""
+
+    def __init__(self, base):
+        self.base = base
+        self.graph, self.realization = base.graph, base.realization
+        self.base_level, self.radius = base.base_level, base.radius
+
+    def outgoing(self, u):
+        out = list(self.base.outgoing(u))
+        if u.level == 3:
+            (_, p0), (w1, p1), (_, p_last) = out[0], out[1], out[-1]
+            return [(w1, p0 + p1 + p_last)] + out[2:-1]
+        return out
+
+
+_GRAPH6 = build_graph(CircleRealization(2), 6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: doubling_kernel(F(1, 4), build_graph(CircleRealization(2), 8)),
+    lambda: doubling_kernel(F(3, 5), _GRAPH6),
+    lambda: extend_by_equivariance(doubling_table_spec(F(3, 5), 2), _GRAPH6),
+    lambda: extend_by_equivariance(_far_reach_table(), _GRAPH6),
+    lambda: _DroppedChildren(doubling_kernel(F(1, 4), _GRAPH6)),
+], ids=["reference", "supercritical", "table", "far-reach", "dropped-children"])
+def test_validation_matches_per_vertex_scan(make):
+    kernel = make()
+    report = validate_assumptions(kernel)
+    assert (report.row_sums, report.level_increase, report.coverage,
+            report.minimal_radius) == _reference_validation(kernel, kernel.graph)
+

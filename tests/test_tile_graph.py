@@ -162,3 +162,12 @@ def test_edge_dump_sorted(graph6):
     assert lines == sorted(lines)
     cols = lines[0].split("\t")
     assert len(cols) == 4
+
+
+def test_empty_level_ranges_are_rejected(graph6):
+    with pytest.raises(ValueError, match="pair level must be >= 1"):
+        diameter_comparability(graph6, 0)
+    with pytest.raises(ValueError, match="level cutoff must be >= 0"):
+        hyperbolicity_delta(graph6, -1)
+    root_only = hyperbolicity_delta(graph6, 0)
+    assert root_only.delta == 0 and root_only.witness == (ROOT,) * 4
