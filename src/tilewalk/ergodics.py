@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .green_martin import green_table, hitting_vector
-from .kernels import DoublingKernel, Kernel, LevelOverflowError
+from .kernels import DoublingKernel, Kernel, LevelOverflowError, index_dtype
 from .symbolic import ROOT, Word, shift
 
 
@@ -94,12 +94,6 @@ class PathSample:
 def _stream_seed(seed: int, path_index: int) -> int:
     digest = hashlib.sha256(f"tilewalk:{seed}:{path_index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _index_dtype(degree: int, max_level: int):
-    """int64 when tile indices up to ``max_level``, with one more digit of
-    headroom for the step arithmetic, fit; Python integers otherwise."""
-    return np.int64 if degree ** (max_level + 1) <= 2**63 else object
 
 
 @dataclass(eq=False)
@@ -248,7 +242,7 @@ def _sample_chunk(rows: _StepRows, start: int, stop: int, n_steps: int,
     """
     seeds, uniforms = _uniforms(seed, start, stop, n_steps)
     d = rows.degree
-    dtype = _index_dtype(d, n_steps * rows.radius)
+    dtype = index_dtype(d, n_steps * rows.radius)
     draws = np.ascontiguousarray(uniforms.T)        # one row per step
     sizes = np.array([d**n for n in range(n_steps * rows.radius + 1)], dtype=dtype)
     indices = np.empty(draws.shape, dtype=dtype)
@@ -366,7 +360,7 @@ def doubling_root_numerators(x: Fraction, indices, level: int) -> tuple[list[int
         nxt[0::2] = np.roll(table, 1) + table
         nxt[1::2] = table + np.roll(table, -1)
         table = nxt * np.tile(step_weights, 2 ** (m - 1))
-    targets = np.asarray(indices, dtype=_index_dtype(2, n))
+    targets = np.asarray(indices, dtype=index_dtype(2, n))
     if n == k:
         return table[targets].tolist(), q
 
@@ -400,6 +394,11 @@ def root_hitting_probability(kernel: Kernel, target: Word) -> Fraction:
     return hitting_vector(kernel, target).get(ROOT, Fraction(0))
 
 
+class UnreachableSampleError(ValueError):
+    """A sampled path ends on a tile the root does not reach: F(o, Z_n) = 0,
+    so the path cannot have been drawn from the kernel."""
+
+
 def green_drift_estimate(kernel: Kernel, samples: PathSamples,
                          keep_values: bool = False) -> DriftReport:
     """Monte Carlo Green drift: mean over paths of -log F(o, Z_n) / n.
@@ -418,8 +417,8 @@ def green_drift_estimate(kernel: Kernel, samples: PathSamples,
         nums, q = doubling_root_numerators(kernel.x, finals, n)
         if 0 in nums:
             p = nums.index(0)
-            raise AssertionError(f"sampled path has F(o, Z_n) = 0 at "
-                                 f"{Word.from_index(int(finals[p]), n, 2)}")
+            raise UnreachableSampleError(f"sampled path has F(o, Z_n) = 0 at "
+                                         f"{Word.from_index(int(finals[p]), n, 2)}")
         log_q = n * _log_int(q)
         gs = np.array([(log_q - _log_int(num)) / n for num in nums])
         values = [Fraction(num, q**n) for num in nums] if keep_values else None
@@ -430,7 +429,7 @@ def green_drift_estimate(kernel: Kernel, samples: PathSamples,
             w = Word.from_index(i, lvl, d)
             f = hitting_vector(kernel, w).get(ROOT, Fraction(0))
             if f == 0:
-                raise AssertionError(f"sampled path has F(o, Z_n) = 0 at {w}")
+                raise UnreachableSampleError(f"sampled path has F(o, Z_n) = 0 at {w}")
             values.append(f)
         gs = np.array([-frac_log(f) / n for f in values])
     est = float(np.mean(gs))

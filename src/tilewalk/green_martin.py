@@ -14,24 +14,25 @@ finite sum over monotone paths.  Two exact DP directions are used:
   is what Martin traces and path functionals use at depth 20+.
 
 All values are exact rationals.
+
+Shadows, their hulls and neighborhoods depend only on the support of F, so
+they are computed on integers with no probabilities and no cache: a shadow
+is a sorted tile-index array per level, reached by stepping whole arrays
+through the kernel's compiled rows, forward from the source; the tiles
+whose shadows meet it are one backward reach from its deepest levels.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
-from .kernels import Kernel
-from .symbolic import (
-    ROOT,
-    TileInterval,
-    Word,
-    arc_hull,
-    tile_of,
-)
+import numpy as np
+
+from .kernels import Kernel, index_dtype
+from .symbolic import ROOT, TileInterval, Word
 
 
 @dataclass
@@ -142,6 +143,74 @@ def martin_kernel(green_o: GreenTable, green_u: GreenTable, v: Word) -> Fraction
 
 # -- shadows and neighborhoods ------------------------------------------------
 
+# level -> sorted distinct indices of tiles on that level
+Cells = dict[int, np.ndarray]
+
+
+def _closure(step, seeds: Cells, levels: range) -> Cells:
+    """The tiles reached from ``seeds`` by repeated ``step`` (the kernel's
+    ``step_cells`` forward, ``source_cells`` backward), kept on ``levels``.
+    The levels are walked in the stepping direction, so each is complete
+    when reached: every transition changes the level that way."""
+    found = {n: [c] for n, c in seeds.items()}
+    cells: Cells = {}
+    for n in levels:
+        if n not in found:
+            continue
+        cells[n] = np.unique(np.concatenate(found.pop(n)))
+        if n == levels[-1]:
+            break
+        for m, reached in step(n, cells[n]):
+            if m in levels:
+                found.setdefault(m, []).append(reached)
+    return cells
+
+
+def _shadow_cells(kernel: Kernel, u: Word, max_level: int) -> Cells:
+    """The tiles v with F(u, v) > 0 and |v| <= max_level (u included): the
+    forward reach of u over the positive compiled transitions."""
+    if u.level > max_level:
+        raise ValueError("source deeper than max_level")
+    d = kernel.realization.degree
+    seed = np.array([u.index(d)], dtype=index_dtype(d, max_level))
+    return _closure(kernel.step_cells, {u.level: seed}, range(u.level, max_level + 1))
+
+
+def _words(cells: Cells, degree: int) -> frozenset[Word]:
+    return frozenset(Word.from_index(i, n, degree)
+                     for n, idx in cells.items() for i in idx.tolist())
+
+
+def _neighbors(kernel: Kernel, u: Word, max_level: int) -> tuple[Cells, set[Word]]:
+    """The truncated shadow of u and the candidate tiles near u, in the
+    level band |u| +/- R, whose truncated shadows meet it.
+
+    Every tile has a positive transition at most R levels down, so two
+    shadows truncated at L that meet also meet on the levels (L - R, L].
+    The tiles whose shadows meet u's are therefore the backward reach of
+    u's shadow on those levels, taken once for all candidates.
+    """
+    radius, d = kernel.radius, kernel.realization.degree
+    shadow = _shadow_cells(kernel, u, max_level)
+    lowest, top = max(u.level - radius, 0), min(u.level + radius, max_level)
+    seeds = {n: c for n, c in shadow.items() if n > max_level - radius}
+    meeting = _closure(kernel.source_cells, seeds, range(max_level, lowest - 1, -1))
+    # only tiles near u's tile can share its shadow
+    span = 3 * max(radius, 1) + int(kernel.reach) + 2
+    neighbors: set[Word] = set()
+    for level in range(lowest, top + 1):
+        size = d**level
+        if level == 0:
+            candidates = {0}
+        elif size <= 2 * span + 1:
+            candidates = set(range(size))
+        else:
+            center = u.index(d) * size // d**u.level if u.level else 0
+            candidates = {i % size for i in range(center - span, center + span + 1)}
+        met = candidates.intersection(meeting.get(level, np.empty(0)).tolist())
+        neighbors.update(Word.from_index(i, level, d) for i in met)
+    return shadow, neighbors
+
 
 @dataclass
 class NeighborSet:
@@ -155,55 +224,41 @@ class NeighborSet:
     truncated: bool
 
 
-# distinct (kernel, vertex, level) queries whose shadows shadow_set keeps;
-# the checks command on the reference scenario makes 198
-SHADOW_LRU_SIZE = 256
-_shadows: OrderedDict[tuple, frozenset[Word]] = OrderedDict()
-
-
 def shadow_set(kernel: Kernel, u: Word, max_level: int) -> frozenset[Word]:
-    """All v with F(u, v) > 0, up to max_level (u included).  The answers
-    to the last ``SHADOW_LRU_SIZE`` distinct queries are kept."""
-    key = (kernel, u, max_level)
-    if key in _shadows:
-        _shadows.move_to_end(key)
-    else:
-        _shadows[key] = frozenset(green_table(kernel, u, max_level).values)
-        if len(_shadows) > SHADOW_LRU_SIZE:
-            _shadows.popitem(last=False)
-    return _shadows[key]
+    """All v with F(u, v) > 0, up to max_level (u included)."""
+    return _words(_shadow_cells(kernel, u, max_level), kernel.realization.degree)
 
 
 def shadow_and_neighbors(kernel: Kernel, u: Word, max_level: int) -> NeighborSet:
-    """Shadow by forward DP; neighbors by truncated shadow intersection
-    within the level band given by the kernel radius."""
-    radius = kernel.radius
-    truncated = u.level + radius > max_level
-    shadow = shadow_set(kernel, u, max_level)
-    d = kernel.realization.degree
-    neighbors: set[Word] = set()
-    for level in range(max(u.level - radius, 0), min(u.level + radius, max_level) + 1):
-        if level == 0:
-            candidates = [ROOT]
-        else:
-            # only vertices whose tile sits near u's tile can share shadow
-            center = u.index(d) * d**level // d ** u.level if u.level else 0
-            span = 3 * max(int(kernel.radius), 1) + int(getattr(kernel, "reach", 0)) + 2
-            candidates = [Word.from_index(i, level, d)
-                          for i in range(center - span, center + span + 1)]
-            if d**level <= 2 * span + 1:
-                candidates = [Word.from_index(i, level, d) for i in range(d**level)]
-        for v in set(candidates):
-            if shadow & shadow_set(kernel, v, max_level):
-                neighbors.add(v)
-    return NeighborSet(u, max_level, shadow, neighbors, truncated)
+    """Shadow by forward reachability; neighbors by the backward reach of
+    its deepest R levels, within the level band given by the kernel radius."""
+    shadow, neighbors = _neighbors(kernel, u, max_level)
+    return NeighborSet(u, max_level, _words(shadow, kernel.realization.degree), neighbors,
+                       u.level + kernel.radius > max_level)
+
+
+def _hull(cells: Cells, degree: int, top: int) -> TileInterval:
+    """``arc_hull`` of the tiles of ``cells`` (levels <= top) on integer arcs
+    at the common denominator d^top: the circle less the largest gap between
+    the merged tiles, the first in circle order on ties and the gap across 0
+    last."""
+    big = degree**top
+    starts = np.concatenate([idx * degree ** (top - n) for n, idx in cells.items()])
+    ends = np.concatenate([(idx + 1) * degree ** (top - n) for n, idx in cells.items()])
+    order = np.argsort(starts)
+    starts, covered = starts[order], np.maximum.accumulate(ends[order])
+    # gap k ends where tile k + 1 starts; the last gap wraps across 0
+    gaps = np.append(starts[1:] - covered[:-1], big - covered[-1] + starts[0])
+    k = int(np.argmax(gaps))
+    if gaps[k] <= 0:
+        return TileInterval(Fraction(0), Fraction(1))
+    lo = Fraction(int(starts[(k + 1) % len(starts)]), big)
+    return TileInterval(lo, lo + Fraction(int(big - gaps[k]), big))
 
 
 def shadow_hull(kernel: Kernel, u: Word, max_level: int) -> TileInterval:
     """Smallest arc containing every tile of the truncated shadow of u."""
-    realization = kernel.realization
-    tiles = [tile_of(realization, w) for w in shadow_set(kernel, u, max_level)]
-    return arc_hull(tiles)
+    return _hull(_shadow_cells(kernel, u, max_level), kernel.realization.degree, max_level)
 
 
 # -- multiplicativity ---------------------------------------------------------
@@ -249,10 +304,12 @@ def check_multiplicative(kernel: Kernel, v: Word, s: Word, u: Word, w: Word,
     detail = "" if pre_ok else "precondition violated: need |v| <= |u| and w in shadow(u)"
 
     # truncation deep enough that every true shadow intersection is visible
-    nbhd = shadow_and_neighbors(kernel, u, max(u.level + kernel.radius + 4, w.level))
+    _, neighbors = _neighbors(kernel, u, max(u.level + kernel.radius + 4, w.level))
+    # F(v, t) for every neighbor t from one forward table
+    from_v = green_table(kernel, v, max([v.level] + [t.level for t in neighbors]))
     upper = Fraction(0)
-    for t in nbhd.neighbors:
-        f_vt = green_value(kernel, v, t) if t != v else Fraction(1)
+    for t in neighbors:
+        f_vt = from_v.value(t)
         if not f_vt:
             continue
         f_tw = vec_w.get(t, Fraction(1) if t == w else Fraction(0))

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TextIO
 
+import numpy as np
+
 from .symbolic import (
     ROOT,
     CircleRealization,
@@ -68,6 +70,24 @@ def _arc_gap(lo_a: int, width_a: int, lo_b: int, width_b: int, circle: int) -> i
     if (lo_b - lo_a) % circle <= width_a or (lo_a - lo_b) % circle <= width_b:
         return 0
     return min((lo_b - lo_a - width_a) % circle, (lo_a - lo_b - width_b) % circle)
+
+
+def index_dtype(degree: int, max_level: int):
+    """int64 when tile indices up to ``max_level``, with one more digit of
+    headroom for the step arithmetic, fit; Python integers otherwise."""
+    return np.int64 if degree ** (max_level + 1) <= 2**63 else object
+
+
+def _padded(groups: dict[int, list[int]], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 0..size-1 of ``groups`` as a zero-padded offset table and the
+    mask of its real entries."""
+    width = max((len(g) for g in groups.values()), default=0)
+    offsets = np.zeros((size, width), dtype=np.int64)
+    mask = np.zeros((size, width), dtype=bool)
+    for k, group in groups.items():
+        offsets[k, :len(group)] = group
+        mask[k, :len(group)] = True
+    return offsets, mask
 
 
 def _check_rows(rows: dict[Word, list[tuple[Word, Fraction]]]):
@@ -140,6 +160,18 @@ class EquivariantTableKernel:
                 elif p > 0:
                     key = (r, (d**r * i + offset) % d ** (n0 + r))
                     self._class_offsets.setdefault(key, []).append(offset)
+        # the same positive transitions as padded tables per level step r,
+        # to step whole index arrays: offsets by row id, and above the window
+        # by target index mod d^(N0+r)
+        self._forward_tables = []
+        self._backward_tables = []
+        for step in range(1, self.radius + 1):
+            by_row = {k: [offset for r, offset, p in row if r == step and p > 0]
+                      for k, row in enumerate(self.rows)}
+            self._forward_tables.append(_padded(by_row, len(self.rows)))
+            by_residue = {res: offsets for (r, res), offsets in self._class_offsets.items()
+                          if r == step}
+            self._backward_tables.append(_padded(by_residue, d ** (n0 + step)))
 
     def _check_window_equivariance(self):
         """The extension is only well-defined if the window itself already
@@ -246,6 +278,38 @@ class EquivariantTableKernel:
                 if source not in result:
                     result.append(source)
         return result
+
+    def step_cells(self, n: int, cells: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(level, indices) of the positive transitions out of the level-n
+        tiles indexed ``cells``, one pair per level step; an index reached
+        twice is listed twice."""
+        if n + 1 > self.depth_limit:
+            raise LevelOverflowError(f"transition past depth limit {self.depth_limit}")
+        d = self.realization.degree
+        rid = self.row_id(n, cells).astype(np.int64)
+        out = []
+        for r, (offsets, mask) in enumerate(self._forward_tables, 1):
+            out.append((n + r, (d**r * cells[:, None] + offsets[rid])[mask[rid]]
+                        % d ** (n + r)))
+        return out
+
+    def source_cells(self, m: int, cells: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """(level, indices) of the tiles with a positive transition into the
+        level-m tiles indexed ``cells``, as ``step_cells`` lists them."""
+        d, n0 = self.realization.degree, self.base_level
+        window: dict[int, list[int]] = {}
+        if m <= n0 + self.radius:
+            for j in cells.tolist():
+                for n, i in self._window_sources.get((m, j), ()):
+                    window.setdefault(n, []).append(i)
+        out = [(n, np.array(found, dtype=cells.dtype)) for n, found in window.items()]
+        for r in range(1, min(self.radius, m - n0 - 1) + 1):
+            offsets, mask = self._backward_tables[r - 1]
+            res = (cells % d ** (n0 + r)).astype(np.int64)
+            # d^r i + offset = j (mod d^m) fixes i mod d^(m-r)
+            out.append((m - r, (cells[:, None] - offsets[res])[mask[res]] // d**r
+                        % d ** (m - r)))
+        return out
 
     def outgoing(self, u: Word) -> tuple[tuple[Word, Fraction], ...]:
         if u.level <= self.base_level and u.level < self.depth_limit:
@@ -383,9 +447,10 @@ def validate_assumptions(kernel: Kernel, graph: TileGraph | None = None) -> Vali
     # rows: the vertices of levels <= top, in graph.vertices order
     dist = distance_table(graph, top)
     index = {u: i for i, u in enumerate(graph.vertices)}
+    outgoing = {}
     for level in range(top + 1):
         for u in graph.levels[level]:
-            out = kernel.outgoing(u)
+            out = outgoing[u] = kernel.outgoing(u)
             total = sum((p for _, p in out), Fraction(0))
             if total != 1 and row_sums.ok:
                 row_sums = AssumptionResult(False, f"row sum {total} at {u}")
@@ -409,37 +474,34 @@ def validate_assumptions(kernel: Kernel, graph: TileGraph | None = None) -> Vali
 
     def equivariant_at(u: Word) -> bool:
         pushed: dict[Word, Fraction] = {}
-        for w, p in kernel.outgoing(u):
+        for w, p in outgoing[u]:
             sw = shift(w)
             pushed[sw] = pushed.get(sw, Fraction(0)) + p
-        base = {w: p for w, p in kernel.outgoing(shift(u)) if p > 0}
+        base = {w: p for w, p in outgoing[shift(u)] if p > 0}
         pushed = {w: p for w, p in pushed.items() if p > 0}
         return pushed == base
 
+    # one verdict per vertex of levels 1..top, read by the check, the scan
+    # for the finest equivariant level and the level-1 note
+    verdicts = {level: [equivariant_at(u) for u in graph.levels[level]]
+                for level in range(1, top + 1)}
     equiv = AssumptionResult(True)
     for level in range(kernel.base_level + 1, top + 1):
-        for u in graph.levels[level]:
-            if not equivariant_at(u):
-                equiv = AssumptionResult(False, f"shift-equivariance fails at {u}")
-                break
-        if not equiv.ok:
+        if not all(verdicts[level]):
+            u = graph.levels[level][verdicts[level].index(False)]
+            equiv = AssumptionResult(False, f"shift-equivariance fails at {u}")
             break
 
-    # informational: scan downwards to the finest level where (D) holds
-    equivariant_from: int | None = None
-    for level in range(2, top + 1):
-        if all(equivariant_at(u) for u in graph.levels[level]):
-            equivariant_from = level
-            break
+    # informational: the finest level where (D) holds
+    equivariant_from = next((level for level in range(2, top + 1)
+                             if all(verdicts[level])), None)
 
     notes = []
     if equivariant_from is not None and equivariant_from > 2:
         notes.append(f"equivariance only holds from level {equivariant_from}")
-    if equivariant_from == 2:
-        level1 = [u for u in graph.levels[1]]
-        if not all(equivariant_at(u) for u in level1):
-            notes.append("level-1 vertices are not equivariant over the root "
-                         "(root law unconstrained; exempted)")
+    if equivariant_from == 2 and not all(verdicts[1]):
+        notes.append("level-1 vertices are not equivariant over the root "
+                     "(root law unconstrained; exempted)")
 
     return ValidationReport(
         row_sums=row_sums,

@@ -105,6 +105,21 @@ def test_checks_reference_scenario_green(tmp_path):
     assert run_command("checks", scn, tmp_path / "out") == EXIT_OK
 
 
+def test_checks_reference_scenario_body(tmp_path):
+    # the multiplicativity row pins the rng order and the acceptance filter
+    scn = parse_scenario(REFERENCE_SCENARIO)
+    assert run_command("checks", scn, tmp_path) == EXIT_OK
+    body = [line for line in (tmp_path / "checks.tsv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert body == [
+        "assumptions\tok\tminimal_R=1",
+        "green_dp_vs_enumeration\tok\t63 targets",
+        "multiplicativity\tok\t200 quadruples in 393 attempts",
+        "cylinder_invariance\tok\t30 cylinders",
+        "shadow_geometry\tok\tlevels <= 6",
+    ]
+
+
 def test_checks_fail_exit_code(tmp_path):
     # x = 1/2 breaks the path-space invariance identity -> exit 3
     scn = parse_scenario(SMALL.replace('"1/4"', '"1/2"'))

@@ -1,9 +1,10 @@
 """Differential tests: the array-backed sampler, the batched F(o, .) routine,
 the binning, the samples.tsv formatting, the integer lift of table kernels
 and their compiled rows, the integer tile-pair diameters, the level-sweep
-distance table and the geometry and validation built on them against
-per-path and per-vertex reference code, the exact Fraction DPs, the
-Fraction tile geometry and the lift itself."""
+distance table and the geometry and validation built on them, and the
+integer shadows, hulls and neighbourhoods against per-path and per-vertex
+reference code, the exact Fraction DPs, the Fraction tile geometry and the
+lift itself."""
 
 import math
 import random
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from tilewalk.cli import fmt_frac, parse_scenario, run_command
 from tilewalk.ergodics import (
     PathSamples,
+    UnreachableSampleError,
     _stream_seed,
     doubling_root_numerators,
     empirical_harmonic_measure,
@@ -24,7 +26,19 @@ from tilewalk.ergodics import (
     root_hitting_probability,
     sample_paths,
 )
-from tilewalk.green_martin import green_table, hitting_vector
+from tilewalk.green_martin import (
+    _closure,
+    _hull,
+    _shadow_cells,
+    _words,
+    check_multiplicative,
+    green_table,
+    green_value,
+    hitting_vector,
+    shadow_and_neighbors,
+    shadow_hull,
+    shadow_set,
+)
 from tilewalk.kernels import (
     AssumptionResult,
     LiftAmbiguityError,
@@ -39,6 +53,7 @@ from tilewalk.symbolic import (
     ROOT,
     CircleRealization,
     Word,
+    arc_hull,
     arcs_diameter,
     pair_diameters,
     parse_word,
@@ -337,6 +352,16 @@ def test_green_drift_doubling_matches_table_kernel():
     assert batched.hit_values == generic.hit_values
 
 
+def test_green_drift_rejects_an_unreachable_final_tile():
+    # under the uneven table no positive row reaches 11
+    k = extend_by_equivariance(_uneven_table(), realization=CircleRealization(2))
+    assert ROOT not in hitting_vector(k, parse_word("11"))
+    samples = PathSamples(2, np.arange(1), np.arange(1), np.array([[1, 3]]),
+                          np.array([[1, 2]]))
+    with pytest.raises(UnreachableSampleError, match="at 11$"):
+        green_drift_estimate(k, samples)
+
+
 # -- binning and samples.tsv formatting -------------------------------------------
 
 
@@ -602,3 +627,231 @@ def test_validation_matches_per_vertex_scan(make):
     assert (report.row_sums, report.level_increase, report.coverage,
             report.minimal_radius) == _reference_validation(kernel, kernel.graph)
 
+
+def _reference_equivariance(kernel, graph):
+    """The equivariance check, the scan for the finest equivariant level and
+    the level-1 note as separate passes over ``equivariant_at``."""
+    top = graph.max_level - 1
+
+    def equivariant_at(u):
+        pushed = {}
+        for w, p in kernel.outgoing(u):
+            pushed[shift(w)] = pushed.get(shift(w), F(0)) + p
+        base = {w: p for w, p in kernel.outgoing(shift(u)) if p > 0}
+        return {w: p for w, p in pushed.items() if p > 0} == base
+
+    equiv = AssumptionResult(True)
+    for level in range(kernel.base_level + 1, top + 1):
+        bad = [u for u in graph.levels[level] if not equivariant_at(u)]
+        if bad:
+            equiv = AssumptionResult(False, f"shift-equivariance fails at {bad[0]}")
+            break
+    equivariant_from = None
+    for level in range(2, top + 1):
+        if all(equivariant_at(u) for u in graph.levels[level]):
+            equivariant_from = level
+            break
+    notes = []
+    if equivariant_from is not None and equivariant_from > 2:
+        notes.append(f"equivariance only holds from level {equivariant_from}")
+    if equivariant_from == 2 and not all(equivariant_at(u) for u in graph.levels[1]):
+        notes.append("level-1 vertices are not equivariant over the root "
+                     "(root law unconstrained; exempted)")
+    return equiv, equivariant_from, notes
+
+
+class _FoldedLevelOne(_DroppedChildren):
+    """A kernel whose level-1 rows put all their mass on their second child:
+    level 2 is not equivariant over them, level 3 is."""
+
+    def outgoing(self, u):
+        out = self.base.outgoing(u)
+        return [(out[1][0], F(1))] if u.level == 1 else out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: doubling_kernel(F(1, 4), _GRAPH6),
+    lambda: extend_by_equivariance(_far_reach_table(), _GRAPH6),
+    lambda: extend_by_equivariance(_uneven_table(), _GRAPH6),
+    lambda: _DroppedChildren(doubling_kernel(F(1, 4), _GRAPH6)),
+    lambda: _FoldedLevelOne(doubling_kernel(F(1, 4), _GRAPH6)),
+], ids=["reference", "far-reach", "uneven", "dropped-children", "folded-level-one"])
+def test_validation_equivariance_matches_separate_passes(make):
+    kernel = make()
+    report = validate_assumptions(kernel)
+    assert (report.equivariance, report.equivariant_from_level, report.notes) == \
+        _reference_equivariance(kernel, kernel.graph)
+
+
+# -- integer shadows, hulls and neighbourhoods -------------------------------------
+
+
+def _root_jump_table():
+    """Radius 2 at the root: half of the root's mass jumps to level 2."""
+    base = doubling_table_spec(F(1, 3), 2)
+    entries = [e for e in base.entries if e[0] != ROOT]
+    entries += [(ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("11"), F(1, 2))]
+    return TableSpec(2, tuple(entries))
+
+
+def _ternary_table():
+    """Degree 3: the root splits evenly, a level-1 tile i steps to the five
+    tiles 3i-1 .. 3i+3."""
+    entries = [(ROOT, Word.from_index(k, 1, 3), F(1, 3)) for k in range(3)]
+    for i in range(3):
+        entries += [(Word.from_index(i, 1, 3), Word.from_index(j, 2, 3), F(1, 5))
+                    for j in range(3 * i - 1, 3 * i + 4)]
+    return TableSpec(1, tuple(entries))
+
+
+def _odd_child_table():
+    """Class 1 steps to its second child only, so padding a short row with
+    offset 0 (its first child) would reach a tile the kernel never does."""
+    o_row = [(ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2))]
+    rows = [(parse_word("0"), parse_word("00"), F(1, 2)),
+            (parse_word("0"), parse_word("01"), F(1, 2)),
+            (parse_word("1"), parse_word("11"), F(1))]
+    return TableSpec(1, tuple(o_row + rows))
+
+
+_SHADOW_KERNELS = {
+    name: extend_by_equivariance(spec, realization=CircleRealization(d))
+    for name, spec, d in list(zip(_LIFT_IDS, _LIFT_SPECS, [2] * 4)) + [
+        ("root-jump", _root_jump_table(), 2), ("uneven", _uneven_table(), 2),
+        ("odd-child", _odd_child_table(), 2), ("ternary", _ternary_table(), 3)]}
+
+
+@st.composite
+def _shadow_queries(draw, degree, max_depth=4):
+    n = draw(st.integers(0, 6 if degree == 2 else 4))
+    i = draw(st.one_of(st.sampled_from([0, degree**n - 1]), st.integers(0, degree**n - 1)))
+    return Word.from_index(i, n, degree), n + draw(st.integers(0, max_depth))
+
+
+@pytest.mark.parametrize("name", list(_SHADOW_KERNELS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_integer_shadow_and_hull_match_green_table_support(name, data):
+    k = _SHADOW_KERNELS[name]
+    d = k.realization.degree
+    u, top = data.draw(_shadow_queries(d))
+    support = set(green_table(k, u, top).values)
+    cells = _shadow_cells(k, u, top)
+    for n, idx in cells.items():
+        assert idx.tolist() == sorted(set(idx.tolist()))
+    assert shadow_set(k, u, top) == support
+    assert shadow_hull(k, u, top) == arc_hull([tile_of(k.realization, v) for v in support])
+
+
+@pytest.mark.parametrize("name", ["x=3/5,N0=2", "far-reach", "uneven"])
+def test_integer_shadow_of_tiles_near_the_depth_limit(name):
+    # indices at level 64 overflow int64: the shadow runs on Python integers
+    k = _SHADOW_KERNELS[name]
+    for i, n in ((0, 60), (2**60 - 1, 60), (2**59 + 5, 61)):
+        u = Word.from_index(i, n, 2)
+        support = set(green_table(k, u, 64).values)
+        assert shadow_set(k, u, 64) == support
+        assert shadow_hull(k, u, 64) == arc_hull([tile_of(k.realization, v) for v in support])
+
+
+@st.composite
+def _cell_sets(draw):
+    d = draw(st.integers(2, 4))
+    top = draw(st.integers(0, 4))
+    cells = {}
+    for n in draw(st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True)):
+        idx = draw(st.lists(st.integers(0, d**n - 1), min_size=1, max_size=6, unique=True))
+        cells[n] = np.array(sorted(idx), dtype=np.int64)
+    return d, top, cells
+
+
+def _fraction_hull(d, cells):
+    r = CircleRealization(d)
+    return arc_hull([tile_of(r, Word.from_index(i, n, d))
+                     for n, idx in cells.items() for i in idx.tolist()])
+
+
+@given(_cell_sets())
+@settings(max_examples=400, deadline=None)
+def test_integer_hull_matches_arc_hull(case):
+    d, top, cells = case
+    assert _hull(cells, d, top) == _fraction_hull(d, cells)
+
+
+@pytest.mark.parametrize("d,top,cells", [
+    (2, 3, {3: [0, 4]}),            # two gaps of 3/8: the first in circle order
+    (2, 3, {3: [1, 5]}),            # a gap of 3/8 ties with the one across 0
+    (3, 2, {2: [0, 3, 6]}),         # three equal gaps
+    (2, 3, {1: [1], 3: [0]}),       # the tiles touch across 0: one gap
+    (2, 2, {1: [0, 1]}),            # the whole circle, no gap
+])
+def test_integer_hull_tie_rule(d, top, cells):
+    cells = {n: np.array(idx, dtype=np.int64) for n, idx in cells.items()}
+    assert _hull(cells, d, top) == _fraction_hull(d, cells)
+
+
+def _reference_neighbors(kernel, u, max_level):
+    """Shadow and neighbours as ``shadow_and_neighbors`` found them: one
+    Fraction ``green_table`` per candidate tile near u, its support
+    intersected with the support of u's table."""
+    radius, d = kernel.radius, kernel.realization.degree
+    shadow = frozenset(green_table(kernel, u, max_level).values)
+    neighbors = set()
+    for level in range(max(u.level - radius, 0), min(u.level + radius, max_level) + 1):
+        if level == 0:
+            candidates = [ROOT]
+        else:
+            center = u.index(d) * d**level // d ** u.level if u.level else 0
+            span = 3 * max(int(kernel.radius), 1) + int(kernel.reach) + 2
+            candidates = [Word.from_index(i, level, d)
+                          for i in range(center - span, center + span + 1)]
+            if d**level <= 2 * span + 1:
+                candidates = [Word.from_index(i, level, d) for i in range(d**level)]
+        for v in set(candidates):
+            if shadow & frozenset(green_table(kernel, v, max_level).values):
+                neighbors.add(v)
+    return shadow, neighbors
+
+
+@pytest.mark.parametrize("name", list(_SHADOW_KERNELS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_integer_neighbors_match_shadow_intersections(name, data):
+    k = _SHADOW_KERNELS[name]
+    d = k.realization.degree
+    u, top = data.draw(_shadow_queries(d, max_depth=5 if d == 2 else 3))
+    ns = shadow_and_neighbors(k, u, top)
+    assert (ns.shadow, ns.neighbors) == _reference_neighbors(k, u, top)
+    assert ns.truncated == (u.level + k.radius > top)
+
+
+@pytest.mark.parametrize("name", list(_SHADOW_KERNELS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_backward_reach_matches_hitting_vector_support(name, data):
+    k = _SHADOW_KERNELS[name]
+    d = k.realization.degree
+    m = data.draw(st.integers(0, 8))
+    j = data.draw(st.integers(0, d**m - 1))
+    reach = _closure(k.source_cells, {m: np.array([j])}, range(m, -1, -1))
+    assert _words(reach, d) == set(hitting_vector(k, Word.from_index(j, m, d)))
+
+
+@pytest.mark.parametrize("name", ["x=3/5,N0=2", "x=1/3,N0=3", "far-reach", "odd-child"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_multiplicative_upper_sum_matches_per_neighbor_values(name, data):
+    k = _SHADOW_KERNELS[name]
+    d = k.realization.degree
+    lu = data.draw(st.integers(0, 3))
+    u = Word.from_index(data.draw(st.integers(0, d**lu)), lu, d)
+    v = Word.from_index(data.draw(st.integers(0, d**4)), data.draw(st.integers(0, lu)), d)
+    w = Word.from_index(data.draw(st.integers(0, d**6)), data.draw(st.integers(lu, 6)), d)
+    s = Word.from_index(data.draw(st.integers(0, d**6)), data.draw(st.integers(v.level, 6)), d)
+    rep = check_multiplicative(k, v, s, u, w)
+    _, neighbors = _reference_neighbors(k, u, max(u.level + k.radius + 4, w.level))
+    vec_w = hitting_vector(k, w)
+    upper = sum((green_value(k, v, t) * (F(1) if t == w else vec_w.get(t, F(0)))
+                 for t in neighbors), F(0))
+    assert rep.upper == upper
+    assert rep.middle == vec_w.get(v, F(0))

@@ -229,3 +229,20 @@ def test_table_parse_errors():
         load_table_spec(["o 0 1/2"])
     with pytest.raises(KernelError, match="expected"):
         load_table_spec(["base_level = 1", "o 0"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: doubling_kernel(F(1, 4), g),
+    lambda g: extend_by_equivariance(doubling_table_spec(F(3, 5), 2), g),
+], ids=["doubling", "table"])
+def test_validate_reads_each_row_at_most_twice(graph6, monkeypatch, make):
+    # the assumption scan and the one equivariance pass share the rows
+    kernel = make(graph6)
+    calls = []
+    outgoing = kernel.outgoing
+    monkeypatch.setattr(kernel, "outgoing", lambda u: calls.append(u) or outgoing(u))
+    report = validate_assumptions(kernel)
+    assert report.passed
+    scanned = [u for n in range(report.checked_levels + 1) for u in graph6.levels[n]]
+    assert set(calls) <= set(scanned)
+    assert len(calls) <= 2 * len(scanned)
