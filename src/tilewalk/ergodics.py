@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .green_martin import green_table, hitting_vector
-from .kernels import DoublingKernel, Kernel, LevelOverflowError, index_dtype
+from .green_martin import green_table, hitting_vector, root_numerators
+from .kernels import Kernel, LevelOverflowError, index_dtype
 from .symbolic import ROOT, Word, shift
 
 
@@ -312,6 +312,7 @@ class DriftReport:
     n_paths: int
     n_steps: int
     g_over_n: np.ndarray = field(repr=False, default=None)
+    hit_values: list[Fraction] | None = field(repr=False, default=None)
 
 
 def drift_exact(kernel: Kernel) -> Fraction:
@@ -320,78 +321,10 @@ def drift_exact(kernel: Kernel) -> Fraction:
     return sum((p * w.level for w, p in kernel.outgoing(ROOT)), Fraction(0))
 
 
-# Largest forward level of doubling_root_numerators: its table holds
-# 2**level entries.
-_FORWARD_MAX_LEVEL = 16
-_INT64_MAX = 2**63 - 1
-
-
-def doubling_root_numerators(x: Fraction, indices, level: int) -> tuple[list[int], int]:
-    """Exact F(o, u) of the doubling kernel p_x for the level-``level`` tiles
-    u with the given indices, as numerators over q**level, q = 3 * den(x).
-
-    All scaled weights are integers over the common denominator q, so every
-    partial sum is an integer and no gcd is ever taken.  A forward stencil
-    gives q^k F(o, v) for all 2^k tiles v of a split level k; a backward band
-    DP, vectorised over the targets, gives q^(n-k) F(v, u) on the ancestor
-    cone of each target, which is an interval of at most 3 tiles per level;
-    one Python-integer dot product per target joins the two halves.  Each
-    half runs in int64 when its values (at most q^k and q^(n-k)) fit, and
-    in Python integers otherwise.
-    """
-    px, qx = x.numerator, x.denominator
-    q = 3 * qx
-    wx, wy = 3 * px, qx - px
-    n = level
-    if n == 0:
-        return [1] * len(indices), q
-    k = 1
-    while k < min(n, _FORWARD_MAX_LEVEL) and q ** (k + 1) <= _INT64_MAX:
-        k += 1
-
-    # forward: table[v] = q^m F(o, v) on level m; the step into tile j has
-    # weight x when j = 2 (mod 4), and j's predecessors are
-    # (j+1)//2 - 1 and (j+1)//2 (mod 2^m)
-    fdtype = np.int64 if q**k <= _INT64_MAX else object
-    table = np.array([2 * qx - 2 * px, qx + 2 * px], dtype=fdtype)
-    step_weights = np.array([wy, wy, wx, wy], dtype=fdtype)
-    for m in range(1, k):
-        nxt = np.empty(2 ** (m + 1), dtype=fdtype)
-        nxt[0::2] = np.roll(table, 1) + table
-        nxt[1::2] = table + np.roll(table, -1)
-        table = nxt * np.tile(step_weights, 2 ** (m - 1))
-    targets = np.asarray(indices, dtype=index_dtype(2, n))
-    if n == k:
-        return table[targets].tolist(), q
-
-    # backward: band[p, s] = q^(n-m) F(tile lo[p] + s, target p) on level m,
-    # lo taken without reduction mod 2^m
-    bdtype = np.int64 if q ** (n - k) <= _INT64_MAX else object
-    step_weights = step_weights.astype(bdtype)
-    band = np.zeros((len(targets), 3), dtype=bdtype)
-    band[:, 0] = 1
-    lo = targets
-    slots = np.arange(3)
-    for m in range(n - 1, k - 1, -1):
-        pushed = band * step_weights[((lo[:, None] + slots) % 4).astype(np.int64)]
-        c0, c1, c2 = pushed[:, 0], pushed[:, 1], pushed[:, 2]
-        # slot s of level m+1 feeds slots (s+1)//2 and (s+1)//2 + 1 of level
-        # m when lo is even, s//2 and s//2 + 1 when lo is odd
-        odd = (lo % 2).astype(bool)
-        band = np.stack([np.where(odd, c0 + c1, c0), c0 + c1 + c2,
-                         np.where(odd, c2, c1 + c2)], axis=1)
-        lo = (lo + 1) // 2 - 1
-    ancestors = ((lo[:, None] + slots) % 2**k).astype(np.int64)
-    return [a0 * b0 + a1 * b1 + a2 * b2 for (a0, a1, a2), (b0, b1, b2)
-            in zip(table[ancestors].tolist(), band.tolist())], q
-
-
 def root_hitting_probability(kernel: Kernel, target: Word) -> Fraction:
-    """F(o, target), via the scaled integer DP for the doubling family."""
-    if isinstance(kernel, DoublingKernel):
-        (num,), q = doubling_root_numerators(kernel.x, [target.index(2)], target.level)
-        return Fraction(num, q**target.level)
-    return hitting_vector(kernel, target).get(ROOT, Fraction(0))
+    """F(o, target), by the batched F(o, .) of ``root_numerators``."""
+    (num,), q = root_numerators(kernel, [target.index(kernel.realization.degree)], target.level)
+    return Fraction(num, q**target.level)
 
 
 class UnreachableSampleError(ValueError):
@@ -403,41 +336,29 @@ def green_drift_estimate(kernel: Kernel, samples: PathSamples,
                          keep_values: bool = False) -> DriftReport:
     """Monte Carlo Green drift: mean over paths of -log F(o, Z_n) / n.
 
-    F values are exact rationals (batched scaled-integer DP for the doubling
-    family, per-path backward DP otherwise); only the final logarithm is
-    floating point.  The reported stderr is the across-path spread at fixed
-    n, not a rigorous bound for the n -> oo limit.
+    F values are exact: integer numerators from one batched DP per final
+    level (``root_numerators``); only the final logarithm is floating point.
+    The reported stderr is the across-path spread at fixed n, not a
+    rigorous bound for the n -> oo limit.
     """
     if not len(samples):
         raise ValueError("no samples")
     n = samples.n_steps
-    finals = samples.final_indices
-    if isinstance(kernel, DoublingKernel):
-        # every doubling path ends on level n
-        nums, q = doubling_root_numerators(kernel.x, finals, n)
+    gs = np.empty(len(samples))
+    values = [None] * len(samples) if keep_values else None
+    for rows, finals, level in samples.by_final_level():
+        nums, q = root_numerators(kernel, finals, level)
         if 0 in nums:
-            p = nums.index(0)
-            raise UnreachableSampleError(f"sampled path has F(o, Z_n) = 0 at "
-                                         f"{Word.from_index(int(finals[p]), n, 2)}")
-        log_q = n * _log_int(q)
-        gs = np.array([(log_q - _log_int(num)) / n for num in nums])
-        values = [Fraction(num, q**n) for num in nums] if keep_values else None
-    else:
-        d = samples.degree
-        values = []
-        for i, lvl in zip(finals.tolist(), samples.final_levels.tolist()):
-            w = Word.from_index(i, lvl, d)
-            f = hitting_vector(kernel, w).get(ROOT, Fraction(0))
-            if f == 0:
-                raise UnreachableSampleError(f"sampled path has F(o, Z_n) = 0 at {w}")
-            values.append(f)
-        gs = np.array([-frac_log(f) / n for f in values])
+            w = Word.from_index(int(finals[nums.index(0)]), level, samples.degree)
+            raise UnreachableSampleError(f"sampled path has F(o, Z_n) = 0 at {w}")
+        log_q = level * _log_int(q)
+        gs[rows] = [(log_q - _log_int(num)) / n for num in nums]
+        if values is not None:
+            for row, num in zip(rows.tolist(), nums):
+                values[row] = Fraction(num, q**level)
     est = float(np.mean(gs))
     stderr = float(np.std(gs, ddof=1) / math.sqrt(len(gs))) if len(gs) > 1 else 0.0
-    report = DriftReport(drift_exact(kernel), est, stderr, len(samples), n, gs)
-    if keep_values:
-        report.hit_values = values
-    return report
+    return DriftReport(drift_exact(kernel), est, stderr, len(samples), n, gs, values)
 
 
 def exact_green_drift_curve(kernel: Kernel, n_max: int) -> list[float]:
@@ -653,17 +574,14 @@ class CylinderInvarianceReport:
         return [r for r in self.rows if not r.equal]
 
 
-def _step_distributions(kernel: Kernel, n_steps: int) -> list[dict[Word, Fraction]]:
-    dists = [{ROOT: Fraction(1)}]
-    for _ in range(n_steps):
-        cur = dists[-1]
-        nxt: dict[Word, Fraction] = {}
-        for u, pu in cur.items():
-            for w, p in kernel.outgoing(u):
-                if p:
-                    nxt[w] = nxt.get(w, Fraction(0)) + pu * p
-        dists.append(nxt)
-    return dists
+def _evolve(kernel: Kernel, dist: dict[Word, Fraction]) -> dict[Word, Fraction]:
+    """The walk's distribution one step after ``dist``."""
+    nxt: dict[Word, Fraction] = {}
+    for u, pu in dist.items():
+        for w, p in kernel.outgoing(u):
+            if p:
+                nxt[w] = nxt.get(w, Fraction(0)) + pu * p
+    return nxt
 
 
 def _shift_power(w: Word, t: int) -> Word:
@@ -678,12 +596,8 @@ def _lifted_chain_mass(kernel: Kernel, z: Word, vs: tuple[Word, ...]) -> Fractio
     t = z.level
     cur = {z: Fraction(1)}
     for v in vs:
-        nxt: dict[Word, Fraction] = {}
-        for u, pu in cur.items():
-            for w, p in kernel.outgoing(u):
-                if p and w.level == t + v.level and _shift_power(w, t) == v:
-                    nxt[w] = nxt.get(w, Fraction(0)) + pu * p
-        cur = nxt
+        cur = {w: pw for w, pw in _evolve(kernel, cur).items()
+               if w.level == t + v.level and _shift_power(w, t) == v}
         if not cur:
             return Fraction(0)
     return sum(cur.values(), Fraction(0))
@@ -715,7 +629,9 @@ def cylinder_invariance_check(kernel: Kernel, max_m: int, max_k: int) -> Cylinde
     raised.
     """
     cylinders = _support_cylinders(kernel, max_m)
-    dists = _step_distributions(kernel, max_k)
+    dists = [{ROOT: Fraction(1)}]
+    for _ in range(max_k):
+        dists.append(_evolve(kernel, dists[-1]))
     rows: list[CylinderRow] = []
     for cyl in cylinders:
         rhs = Fraction(1)
@@ -744,12 +660,7 @@ def cylinder_invariance_check(kernel: Kernel, max_m: int, max_k: int) -> Cylinde
                 # evolve the first cylinder's endpoint distribution to step k
                 cur = {first[-1]: p_first}
                 for _ in range(k - m_first):
-                    nxt: dict[Word, Fraction] = {}
-                    for u, pu in cur.items():
-                        for w, p in kernel.outgoing(u):
-                            if p:
-                                nxt[w] = nxt.get(w, Fraction(0)) + pu * p
-                    cur = nxt
+                    cur = _evolve(kernel, cur)
                 lhs = sum((pz * _lifted_chain_mass(kernel, z, second[1:])
                            for z, pz in cur.items()), Fraction(0))
                 mixing_rows.append(MixingRow(first, second, k, lhs,

@@ -11,15 +11,16 @@ finite sum over monotone paths.  Two exact DP directions are used:
   level size, so deep sources stay cheap;
 * backward from a single target over its ancestor cone
   (``hitting_vector``) -- this yields F(u, target) for every u at once and
-  is what Martin traces and path functionals use at depth 20+.
+  is what Martin traces and path functionals use at depth 20+;
+* both joined at a split level (``root_numerators``) -- F(o, t) for a batch
+  of targets t, as the Green drift reads it at the end of every path.
 
-All values are exact rationals.
+All three add integer numerators over powers of the lcm Q of the row
+denominators on the kernel's step tables; Fractions are built at the edge.
 
-Shadows, their hulls and neighborhoods depend only on the support of F, so
-they are computed on integers with no probabilities and no cache: a shadow
-is a sorted tile-index array per level, reached by stepping whole arrays
-through the kernel's compiled rows, forward from the source; the tiles
-whose shadows meet it are one backward reach from its deepest levels.
+Shadows, their hulls and neighborhoods depend only on the support of F: a
+shadow is the sorted tile-index array per level of the forward DP, and the
+tiles whose shadows meet it are one backward reach from its deepest levels.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .kernels import Kernel, index_dtype
+from .kernels import Kernel, LevelOverflowError, index_dtype, value_dtype
 from .symbolic import ROOT, TileInterval, Word
 
 
@@ -56,62 +57,163 @@ class GreenTable:
         return {w for w in self.values if w.level == level}
 
 
+# -- the exact integer DP core ----------------------------------------------------
+
+
+def _forward(kernel: Kernel, source: Word, stop: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Forward DP from the source, stepping out of the levels below ``stop``:
+    per level n, the tiles reached and Q^(n - |source|) times the mass of
+    the paths whose first tile of level >= stop is there, which is F(source,
+    v) on the levels up to ``stop``."""
+    d, top = kernel.realization.degree, stop + kernel.radius - 1
+    dtype = value_dtype(kernel.scale ** (top - source.level))
+    found = {source.level: [(np.array([source.index(d)], dtype=index_dtype(d, top)),
+                             np.ones(1, dtype=dtype))]}
+    out = {}
+    for n in range(source.level, top + 1):
+        if n not in found:
+            continue
+        # sum what reaches each tile; every transition counted is positive
+        reached, contributions = zip(*found.pop(n))
+        cells, inverse = np.unique(np.concatenate(reached) % d**n, return_inverse=True)
+        values = np.zeros(len(cells), dtype=dtype)
+        np.add.at(values, inverse, np.concatenate(contributions))
+        out[n] = cells, values
+        if n < stop:
+            if n + 1 > kernel.depth_limit:
+                raise LevelOverflowError(f"transition past depth limit {kernel.depth_limit}")
+            rid = kernel.row_id(n, cells).astype(np.int64)
+            for r, (offsets, mask, weights) in enumerate(kernel.step_tables, 1):
+                found.setdefault(n + r, []).append(
+                    ((d**r * cells[:, None] + offsets[rid])[mask[rid]],
+                     (values[:, None] * weights[rid])[mask[rid]]))
+    return out
+
+
+def _stencil(kernel: Kernel, l: int, r: int, shifts: range, width: int,
+             above: int) -> np.ndarray:
+    """``stencil[c, k, s, t]``: the weight by which cover tile lo + s of level
+    l steps r levels to slot t of a band of width ``above`` starting at
+    d^r lo - shifts[k], for lo = c modulo the row count of level l."""
+    d, n0 = kernel.realization.degree, kernel.base_level
+    offsets, mask, weights = kernel.step_tables[r - 1]
+    c, k, s = np.ix_(np.arange(d ** min(l, n0)), np.arange(len(shifts)), np.arange(width))
+    # the row of a cover tile: its index mod d^l on window levels, its class above
+    rid = kernel.row_id(l, (c + s) % d**l if l <= n0 else c + s)
+    at = (shifts[0] + k + d**r * s)[..., None] + offsets[rid]
+    ok = mask[rid] & (at >= 0) & (at < above)
+    stencil = np.zeros(ok.shape[:3] + (above,), dtype=weights.dtype)
+    np.add.at(stencil, np.nonzero(ok)[:3] + (at[ok],), np.broadcast_to(weights[rid], ok.shape)[ok])
+    return stencil
+
+
+def _backward(kernel: Kernel, level: int, targets: np.ndarray, stop: int):
+    """Backward DP from the level-``level`` tiles indexed ``targets``, all at
+    once: yields (l, lo, band) for the levels l = level .. stop that a path
+    reaches, ``band[p, s]`` being Q^(level - l) F(lo[p] + s, target p) on
+    the integer cover of the circle.
+
+    A cover tile of level l is an integer I, standing for the tile I mod
+    d^l, and steps to d^r I + offset.  Every path lifts uniquely to a cover
+    path ending at the target's index, so F(u, target) sums the band over
+    the lifts of u: fold mod d^l to read a level out.  A band spans the
+    integers stepping into the R bands above it.
+    """
+    d, n0 = kernel.realization.degree, kernel.base_level
+    if level > kernel.depth_limit:
+        raise LevelOverflowError(f"transition past depth limit {kernel.depth_limit}")
+    dtype = value_dtype(kernel.scale ** (level - stop))
+    bands = {level: (targets, np.ones((len(targets), 1), dtype=dtype))}
+    yield level, *bands[level]
+    tables = kernel.band_tables
+    for l in range(level - 1, stop - 1, -1):
+        # the rows of level l: the window's, or the class rows above it
+        kind, size = min(l, n0 + 1), d ** min(l, n0)
+        if kind not in tables:
+            rows = slice(kernel.row_id(l, 0), kernel.row_id(l, 0) + size)
+            tables[kind] = [(r, int(offsets[rows][mask[rows]].min()),
+                             int(offsets[rows][mask[rows]].max()))
+                            for r, (offsets, mask, _) in enumerate(kernel.step_tables, 1)
+                            if mask[rows].any()]
+        steps = [(r, low, high, *bands[l + r]) for r, low, high in tables[kind] if l + r in bands]
+        if not steps:
+            continue
+        # I steps into [lo_r, lo_r + width_r) by an offset o in [low, high] iff
+        # lo_r <= d^r I + o < lo_r + width_r
+        lo = np.min([-((high - lo_r) // d**r) for r, _, high, lo_r, _ in steps], axis=0)
+        width = 1 + int((np.max([(lo_r + b.shape[1] - 1 - low) // d**r
+                                 for r, low, _, lo_r, b in steps], axis=0) - lo).max())
+        band = np.zeros((len(lo), width), dtype=dtype)
+        for r, _, _, lo_r, above in steps:
+            shift = (d**r * lo - lo_r).astype(np.int64)
+            shifts = range(int(shift.min()), int(shift.max()) + 1)
+            key = (kind, r, shifts, width, above.shape[1])
+            if key not in tables:
+                tables[key] = _stencil(kernel, l, r, shifts, width, above.shape[1])
+            at = tables[key][(lo % size).astype(np.int64), shift - shifts[0]]
+            band += np.einsum("pst,pt->ps", at, above)
+        if band.any():
+            bands[l] = lo, band
+            bands.pop(l + kernel.radius, None)
+            yield l, lo, band
+
+
 def green_table(kernel: Kernel, source: Word, max_level: int) -> GreenTable:
     """Forward cone DP: F(source, v) = sum_w F(source, w) P(w, v), processed
     in level order; F(source, source) = 1."""
     if source.level > max_level:
         raise ValueError("source deeper than max_level")
-    values: dict[Word, Fraction] = {}
-    # strict level order: F of a vertex is final once its level is reached,
-    # since every transition increases the level
-    by_level: dict[int, dict[Word, Fraction]] = {source.level: {source: Fraction(1)}}
-    for level in range(source.level, max_level + 1):
-        band = by_level.pop(level, None)
-        if not band:
-            continue
-        values.update(band)
-        if level == max_level:
-            break
-        for u, fu in band.items():
-            for w, p in kernel.outgoing(u):
-                if p and w.level <= max_level:
-                    tier = by_level.setdefault(w.level, {})
-                    tier[w] = tier.get(w, Fraction(0)) + fu * p
-    return GreenTable(source, max_level, values)
+    d = kernel.realization.degree
+    return GreenTable(source, max_level, {
+        Word.from_index(i, n, d): Fraction(num, kernel.scale ** (n - source.level))
+        for n, (cells, nums) in _forward(kernel, source, max_level).items() if n <= max_level
+        for i, num in zip(cells.tolist(), nums.tolist())})
 
 
 def hitting_vector(kernel: Kernel, target: Word) -> dict[Word, Fraction]:
-    """Backward cone DP: F(u, target) for every u with F > 0 (plus the
-    root), keyed by u.  Exact rationals."""
-    values: dict[Word, Fraction] = {target: Fraction(1)}
-    by_level: dict[int, set[Word]] = {target.level: {target}}
-    for level in range(target.level - 1, -1, -1):
-        # candidates: predecessors of reached vertices within the step radius
-        cands: set[Word] = set()
-        for deeper in range(level + 1, min(level + kernel.radius, target.level) + 1):
-            for w in by_level.get(deeper, ()):
-                cands.update(u for u in kernel.predecessors(w) if u.level == level)
-        tier: set[Word] = set()
-        for u in cands:
-            fu = Fraction(0)
-            for w, p in kernel.outgoing(u):
-                fw = values.get(w)
-                if fw is not None and p:
-                    fu += p * fw
-            if fu:
-                values[u] = fu
-                tier.add(u)
-        if tier:
-            by_level[level] = tier
+    """Backward cone DP: F(u, target) keyed by u, for exactly the u with
+    F(u, target) > 0, the target included (and the root only if it reaches
+    the target)."""
+    d, m = kernel.realization.degree, target.level
+    targets = np.array([target.index(d)], dtype=index_dtype(d, m))
+    values: dict[Word, Fraction] = {}
+    for l, lo, band in _backward(kernel, m, targets, 0):
+        # fold the lifts of each tile
+        nums: dict[int, int] = {}
+        for i, num in enumerate(band[0].tolist(), int(lo[0])):
+            if num:
+                nums[i % d**l] = nums.get(i % d**l, 0) + num
+        values.update((Word.from_index(i, l, d), Fraction(num, kernel.scale ** (m - l)))
+                      for i, num in nums.items())
     return values
+
+
+def root_numerators(kernel: Kernel, indices, level: int) -> tuple[list[int], int]:
+    """Q^level F(o, t) for the level-``level`` tiles t indexed ``indices``,
+    and Q: a forward table from the root, no larger than the batch and in
+    int64, joined at a split level k to the targets' backward bands on the
+    levels k .. k + R - 1, where every path has its first tile past k - 1."""
+    d, q, radius = kernel.realization.degree, kernel.scale, kernel.radius
+    targets = np.asarray(indices, dtype=index_dtype(d, level))
+    k = 0
+    while (k < level and d ** (k + 1) <= len(targets)
+           and value_dtype(q ** (k + radius)) is np.int64):
+        k += 1
+    table = _forward(kernel, ROOT, k)
+    total = np.zeros(len(targets), dtype=value_dtype(q**level))
+    for l, lo, band in _backward(kernel, level, targets, k):
+        if l < k + radius and l in table:
+            dense = np.zeros(d**l, dtype=total.dtype)
+            dense[table[l][0].astype(np.int64)] = table[l][1]
+            ancestors = (lo[:, None] + np.arange(band.shape[1])) % d**l
+            total += (dense[ancestors.astype(np.int64)] * band).sum(axis=1)
+    return total.tolist(), q
 
 
 def green_value(kernel: Kernel, u: Word, v: Word) -> Fraction:
     """F(u, v) for a single pair."""
-    if u == v:
-        return Fraction(1)
     if v.level <= u.level:
-        return Fraction(0)
+        return Fraction(int(u == v))
     return hitting_vector(kernel, v).get(u, Fraction(0))
 
 
@@ -149,9 +251,9 @@ Cells = dict[int, np.ndarray]
 
 def _closure(step, seeds: Cells, levels: range) -> Cells:
     """The tiles reached from ``seeds`` by repeated ``step`` (the kernel's
-    ``step_cells`` forward, ``source_cells`` backward), kept on ``levels``.
-    The levels are walked in the stepping direction, so each is complete
-    when reached: every transition changes the level that way."""
+    ``source_cells``), kept on ``levels``.  The levels are walked in the
+    stepping direction, so each is complete when reached: every transition
+    changes the level that way."""
     found = {n: [c] for n, c in seeds.items()}
     cells: Cells = {}
     for n in levels:
@@ -168,12 +270,11 @@ def _closure(step, seeds: Cells, levels: range) -> Cells:
 
 def _shadow_cells(kernel: Kernel, u: Word, max_level: int) -> Cells:
     """The tiles v with F(u, v) > 0 and |v| <= max_level (u included): the
-    forward reach of u over the positive compiled transitions."""
+    support of the forward DP from u."""
     if u.level > max_level:
         raise ValueError("source deeper than max_level")
-    d = kernel.realization.degree
-    seed = np.array([u.index(d)], dtype=index_dtype(d, max_level))
-    return _closure(kernel.step_cells, {u.level: seed}, range(u.level, max_level + 1))
+    return {n: cells for n, (cells, _) in _forward(kernel, u, max_level).items()
+            if n <= max_level}
 
 
 def _words(cells: Cells, degree: int) -> frozenset[Word]:
@@ -286,34 +387,26 @@ class MultiplicativeReport:
         return self.lower_holds and self.upper_holds
 
 
-def check_multiplicative(kernel: Kernel, v: Word, s: Word, u: Word, w: Word,
-                         max_level: int | None = None) -> MultiplicativeReport:
+def check_multiplicative(kernel: Kernel, v: Word, s: Word, u: Word,
+                         w: Word) -> MultiplicativeReport:
     """Evaluate both inequalities in exact rationals.
 
     Preconditions (|v| <= |u|, w in the shadow of u) are reported, never
     silently assumed.
     """
-    max_level = max_level if max_level is not None else w.level
+    # w is a key of its own hitting vector, with F(w, w) = 1
     vec_w = hitting_vector(kernel, w)
-    f_vw = vec_w.get(v, Fraction(0))
-    f_uw = vec_w.get(u, Fraction(1) if u == w else Fraction(0))
-    f_sw = vec_w.get(s, Fraction(1) if s == w else Fraction(0))
-    f_vs = green_value(kernel, v, s) if s != v else Fraction(1)
+    f_vw, f_uw, f_sw = (vec_w.get(x, Fraction(0)) for x in (v, u, s))
+    f_vs = green_value(kernel, v, s)
 
-    pre_ok = v.level <= u.level and (f_uw > 0 or u == w)
+    pre_ok = v.level <= u.level and f_uw > 0
     detail = "" if pre_ok else "precondition violated: need |v| <= |u| and w in shadow(u)"
 
     # truncation deep enough that every true shadow intersection is visible
     _, neighbors = _neighbors(kernel, u, max(u.level + kernel.radius + 4, w.level))
     # F(v, t) for every neighbor t from one forward table
     from_v = green_table(kernel, v, max([v.level] + [t.level for t in neighbors]))
-    upper = Fraction(0)
-    for t in neighbors:
-        f_vt = from_v.value(t)
-        if not f_vt:
-            continue
-        f_tw = vec_w.get(t, Fraction(1) if t == w else Fraction(0))
-        upper += f_vt * f_tw
+    upper = sum((from_v.value(t) * vec_w.get(t, Fraction(0)) for t in neighbors), Fraction(0))
 
     lower = f_vs * f_sw
     return MultiplicativeReport(

@@ -17,6 +17,7 @@ is needed only for metric validation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TextIO
@@ -78,16 +79,22 @@ def index_dtype(degree: int, max_level: int):
     return np.int64 if degree ** (max_level + 1) <= 2**63 else object
 
 
-def _padded(groups: dict[int, list[int]], size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows 0..size-1 of ``groups`` as a zero-padded offset table and the
-    mask of its real entries."""
+def value_dtype(bound: int):
+    """int64 when integers up to ``bound`` fit; Python integers otherwise."""
+    return np.int64 if bound <= np.iinfo(np.int64).max else object
+
+
+def _padded(groups: dict[int, list[int]], size: int,
+            dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 0..size-1 of ``groups`` as a zero-padded table and the mask of
+    its real entries."""
     width = max((len(g) for g in groups.values()), default=0)
-    offsets = np.zeros((size, width), dtype=np.int64)
+    table = np.zeros((size, width), dtype=dtype)
     mask = np.zeros((size, width), dtype=bool)
     for k, group in groups.items():
-        offsets[k, :len(group)] = group
+        table[k, :len(group)] = group
         mask[k, :len(group)] = True
-    return offsets, mask
+    return table, mask
 
 
 def _check_rows(rows: dict[Word, list[tuple[Word, Fraction]]]):
@@ -152,26 +159,35 @@ class EquivariantTableKernel:
         # target; above it by level step r and target index mod d^(N0+r),
         # which fixes the class of a source and so the offsets that reach j
         self._window_sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self._class_offsets: dict[tuple[int, int], list[int]] = {}
+        class_offsets: dict[tuple[int, int], list[int]] = {}
         for (n, i), row in zip(self.row_tiles, self.rows):
             for r, offset, p in row:
                 if p > 0 and n <= n0:
                     self._window_sources.setdefault((n + r, d**r * i + offset), []).append((n, i))
                 elif p > 0:
                     key = (r, (d**r * i + offset) % d ** (n0 + r))
-                    self._class_offsets.setdefault(key, []).append(offset)
+                    class_offsets.setdefault(key, []).append(offset)
+        # Q, the lcm of the row denominators: a step of r levels weighs p Q^r
+        self.scale = math.lcm(*(p.denominator for row in self.rows for _, _, p in row))
         # the same positive transitions as padded tables per level step r,
-        # to step whole index arrays: offsets by row id, and above the window
-        # by target index mod d^(N0+r)
-        self._forward_tables = []
+        # to step whole index arrays: offsets, mask and integer weights by
+        # row id, and above the window offsets by target index mod d^(N0+r)
+        self.step_tables = []
         self._backward_tables = []
         for step in range(1, self.radius + 1):
-            by_row = {k: [offset for r, offset, p in row if r == step and p > 0]
+            by_row = {k: [(offset, p * self.scale**step) for r, offset, p in row
+                          if r == step and p > 0]
                       for k, row in enumerate(self.rows)}
-            self._forward_tables.append(_padded(by_row, len(self.rows)))
-            by_residue = {res: offsets for (r, res), offsets in self._class_offsets.items()
+            offsets, mask = _padded({k: [o for o, _ in g] for k, g in by_row.items()},
+                                    len(self.rows))
+            weights, _ = _padded({k: [int(w) for _, w in g] for k, g in by_row.items()},
+                                 len(self.rows), value_dtype(self.scale**step))
+            self.step_tables.append((offsets, mask, weights))
+            by_residue = {res: offsets for (r, res), offsets in class_offsets.items()
                           if r == step}
             self._backward_tables.append(_padded(by_residue, d ** (n0 + step)))
+        # backward-DP offset bounds and stencils, compiled on first use; finitely many
+        self.band_tables: dict = {}
 
     def _check_window_equivariance(self):
         """The extension is only well-defined if the window itself already
@@ -267,35 +283,10 @@ class EquivariantTableKernel:
         return [(n + r, (d**r * i + offset) % d ** (n + r), p)
                 for r, offset, p in self.rows[self.row_id(n, i)]]
 
-    def _sources(self, m: int, j: int) -> list[tuple[int, int]]:
-        """(level, index) of each tile with a positive transition to (m, j)."""
-        d, n0 = self.realization.degree, self.base_level
-        result = list(self._window_sources.get((m, j), ()))
-        for r in range(1, min(self.radius, m - n0 - 1) + 1):
-            for offset in self._class_offsets.get((r, j % d ** (n0 + r)), ()):
-                # d^r i + offset = j (mod d^m) fixes i mod d^(m-r)
-                source = (m - r, (j - offset) // d**r % d ** (m - r))
-                if source not in result:
-                    result.append(source)
-        return result
-
-    def step_cells(self, n: int, cells: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """(level, indices) of the positive transitions out of the level-n
-        tiles indexed ``cells``, one pair per level step; an index reached
-        twice is listed twice."""
-        if n + 1 > self.depth_limit:
-            raise LevelOverflowError(f"transition past depth limit {self.depth_limit}")
-        d = self.realization.degree
-        rid = self.row_id(n, cells).astype(np.int64)
-        out = []
-        for r, (offsets, mask) in enumerate(self._forward_tables, 1):
-            out.append((n + r, (d**r * cells[:, None] + offsets[rid])[mask[rid]]
-                        % d ** (n + r)))
-        return out
-
     def source_cells(self, m: int, cells: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """(level, indices) of the tiles with a positive transition into the
-        level-m tiles indexed ``cells``, as ``step_cells`` lists them."""
+        level-m tiles indexed ``cells``, one pair per level; an index reached
+        twice is listed twice."""
         d, n0 = self.realization.degree, self.base_level
         window: dict[int, list[int]] = {}
         if m <= n0 + self.radius:
@@ -320,7 +311,9 @@ class EquivariantTableKernel:
 
     def predecessors(self, v: Word) -> list[Word]:
         d = self.realization.degree
-        return [Word.from_index(i, n, d) for n, i in self._sources(v.level, v.index(d))]
+        cells = np.array([v.index(d)], dtype=index_dtype(d, v.level))
+        return [Word.from_index(i, n, d) for n, found in self.source_cells(v.level, cells)
+                for i in np.unique(found).tolist()]
 
     def weight(self, u: Word, v: Word) -> Fraction:
         return sum((p for w, p in self.outgoing(u) if w == v), Fraction(0))
@@ -348,7 +341,7 @@ class DoublingKernel(EquivariantTableKernel):
 
     def predecessors_index(self, j: int, m: int) -> list[int]:
         """Index of each level-(m-1) tile with a positive step to (m, j)."""
-        return [i for _, i in self._sources(m, j)]
+        return [u.index(2) for u in self.predecessors(Word.from_index(j, m, 2))]
 
     def __repr__(self):
         return f"DoublingKernel(x={self.x})"

@@ -2,9 +2,10 @@
 the binning, the samples.tsv formatting, the integer lift of table kernels
 and their compiled rows, the integer tile-pair diameters, the level-sweep
 distance table and the geometry and validation built on them, and the
-integer shadows, hulls and neighbourhoods against per-path and per-vertex
-reference code, the exact Fraction DPs, the Fraction tile geometry and the
-lift itself."""
+integer shadows, hulls and neighbourhoods, and the exact integer DP core
+(``green_table``, ``hitting_vector``, ``root_numerators``) against per-path
+and per-vertex reference code, the Word/Fraction DPs kept here, the Fraction
+tile geometry, the lift itself and explicit path enumeration."""
 
 import math
 import random
@@ -20,7 +21,6 @@ from tilewalk.ergodics import (
     PathSamples,
     UnreachableSampleError,
     _stream_seed,
-    doubling_root_numerators,
     empirical_harmonic_measure,
     green_drift_estimate,
     root_hitting_probability,
@@ -31,10 +31,12 @@ from tilewalk.green_martin import (
     _hull,
     _shadow_cells,
     _words,
+    brute_force_hitting,
     check_multiplicative,
     green_table,
     green_value,
     hitting_vector,
+    root_numerators,
     shadow_and_neighbors,
     shadow_hull,
     shadow_set,
@@ -311,10 +313,16 @@ def _doubling_targets(draw):
 def test_root_numerators_match_hitting_vector(case):
     x, n, idx = case
     k = doubling_kernel(x)
-    nums, q = doubling_root_numerators(x, idx, n)
+    nums, q = root_numerators(k, idx, n)
     for i, num in zip(idx, nums):
         exact = hitting_vector(k, Word.from_index(i, n, 2))[ROOT]
         assert F(num, q**n) == exact
+
+
+def _numerators_over(q, result, n):
+    """Numerators over q^n of ``root_numerators`` values over Q^n, Q | q."""
+    nums, scale = result
+    return [m * (q // scale) ** n for m in nums], q
 
 
 @pytest.mark.parametrize("x,n", [(F(1, 1000), 11), (F(1, 4), 64), (F(3, 5), 33),
@@ -324,7 +332,7 @@ def test_root_numerators_wide_values(x, n):
     q = 3 * x.denominator
     assert q**n >= 2**126
     idx = [0, 1, 2**n // 3, 2**n - 1]
-    nums, _ = doubling_root_numerators(x, idx, n)
+    nums, _ = _numerators_over(q, root_numerators(doubling_kernel(x), idx, n), n)
     k = doubling_kernel(x)
     assert [F(m, q**n) for m in nums] == [
         hitting_vector(k, Word.from_index(i, n, 2))[ROOT] for i in idx]
@@ -334,7 +342,7 @@ def test_root_numerators_wide_values(x, n):
 @settings(max_examples=15, deadline=None)
 def test_root_numerators_match_green_table(x, n):
     table = green_table(doubling_kernel(x), ROOT, n)
-    nums, q = doubling_root_numerators(x, np.arange(2**n), n)
+    nums, q = root_numerators(doubling_kernel(x), np.arange(2**n), n)
     assert [F(m, q**n) for m in nums] == [table.value(Word.from_index(i, n, 2))
                                           for i in range(2**n)]
 
@@ -855,3 +863,130 @@ def test_multiplicative_upper_sum_matches_per_neighbor_values(name, data):
                  for t in neighbors), F(0))
     assert rep.upper == upper
     assert rep.middle == vec_w.get(v, F(0))
+
+
+# -- the exact integer DP core ---------------------------------------------------
+
+
+def _reference_green_table(kernel, source, max_level):
+    """Forward cone DP in Word/Fraction form, as ``green_table`` computed it
+    before the integer core."""
+    values = {}
+    by_level = {source.level: {source: F(1)}}
+    for level in range(source.level, max_level + 1):
+        band = by_level.pop(level, None)
+        if not band:
+            continue
+        values.update(band)
+        if level == max_level:
+            break
+        for u, fu in band.items():
+            for w, p in kernel.outgoing(u):
+                if p and w.level <= max_level:
+                    tier = by_level.setdefault(w.level, {})
+                    tier[w] = tier.get(w, F(0)) + fu * p
+    return values
+
+
+def _reference_hitting_vector(kernel, target):
+    """Backward cone DP in Word/Fraction form, as ``hitting_vector`` computed
+    it before the integer core."""
+    values = {target: F(1)}
+    by_level = {target.level: {target}}
+    for level in range(target.level - 1, -1, -1):
+        cands = set()
+        for deeper in range(level + 1, min(level + kernel.radius, target.level) + 1):
+            for w in by_level.get(deeper, ()):
+                cands.update(u for u in kernel.predecessors(w) if u.level == level)
+        tier = set()
+        for u in cands:
+            fu = F(0)
+            for w, p in kernel.outgoing(u):
+                fw = values.get(w)
+                if fw is not None and p:
+                    fu += p * fw
+            if fu:
+                values[u] = fu
+                tier.add(u)
+        if tier:
+            by_level[level] = tier
+    return values
+
+
+@st.composite
+def _core_kernels(draw):
+    """A named test table, or the doubling law at a random x."""
+    name = draw(st.sampled_from(list(_SHADOW_KERNELS) + ["random-x"]))
+    if name == "random-x":
+        q = draw(st.one_of(st.integers(2, 60), st.just(2**70 + 1)))
+        return doubling_kernel(F(draw(st.integers(1, q - 1)), q))
+    return _SHADOW_KERNELS[name]
+
+
+@given(_core_kernels(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_core_green_table_matches_fraction_reference(k, data):
+    d = k.realization.degree
+    u, top = data.draw(_shadow_queries(d, max_depth=4 if d == 2 else 3))
+    values = green_table(k, u, top).values
+    assert values == _reference_green_table(k, u, top) == brute_force_hitting(k, u, top)
+    assert all(f > 0 for f in values.values())
+
+
+@given(_core_kernels(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_core_hitting_vector_matches_fraction_reference(k, data):
+    d = k.realization.degree
+    m = data.draw(st.one_of(st.integers(0, 7), st.integers(8, 40 if d == 2 else 25)))
+    j = data.draw(st.one_of(st.sampled_from([0, d**m - 1]), st.integers(0, d**m - 1)))
+    target = Word.from_index(j, m, d)
+    vec = hitting_vector(k, target)
+    # the keys are exactly the u with F(u, target) > 0, the target included
+    assert vec == _reference_hitting_vector(k, target)
+    assert vec[target] == 1 and all(f > 0 for f in vec.values())
+    if m <= 6:
+        # every tile above the target, against explicit path enumeration
+        for u in [ROOT] + [Word.from_index(i, n, d) for n in range(1, m) for i in range(d**n)]:
+            assert brute_force_hitting(k, u, m).get(target, F(0)) == vec.get(u, F(0))
+
+
+@pytest.mark.parametrize("name", ["x=3/5,N0=2", "far-reach", "uneven", "ternary"])
+def test_core_hitting_vector_near_the_depth_limit(name):
+    # indices and numerators at level 64 overflow int64: Python integers
+    k = _SHADOW_KERNELS[name]
+    d = k.realization.degree
+    m = 64 if d == 2 else 40
+    for j in (0, d**m - 1, d**m // 3):
+        target = Word.from_index(j, m, d)
+        assert hitting_vector(k, target) == _reference_hitting_vector(k, target)
+
+
+@pytest.mark.parametrize("name", list(_SHADOW_KERNELS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_core_root_numerators_match_hitting_vector(name, data):
+    # enough targets that the forward table reaches a split level k > 0 and
+    # the join reads the R bands above it
+    k = _SHADOW_KERNELS[name]
+    d = k.realization.degree
+    m = data.draw(st.integers(1, 14 if d == 2 else 9))
+    idx = data.draw(st.lists(st.integers(0, d**m - 1), min_size=1, max_size=60))
+    nums, q = root_numerators(k, idx, m)
+    assert q == k.scale
+    assert [F(num, q**m) for num in nums] == [
+        _reference_hitting_vector(k, Word.from_index(i, m, d)).get(ROOT, F(0)) for i in idx]
+
+
+@pytest.mark.parametrize("name", ["root-jump", "far-reach"])
+def test_green_drift_radius_two_mixed_levels_matches_per_target(name):
+    # radius-2 paths end on several levels: one batched DP per final level
+    k = _SHADOW_KERNELS[name]
+    samples = sample_paths(k, 300, 9, seed=8)
+    assert len(set(samples.final_levels.tolist())) > 1
+    report = green_drift_estimate(k, samples, keep_values=True)
+    expected = [hitting_vector(k, s.final_word)[ROOT] for s in samples]
+    assert report.hit_values == expected
+    for s, f in zip(samples[:40], expected):
+        assert _reference_hitting_vector(k, s.final_word)[ROOT] == f
+    gs = [-(math.log(f.numerator) - math.log(f.denominator)) / 9 for f in expected]
+    assert np.allclose(report.g_over_n, gs, rtol=1e-12, atol=0)
