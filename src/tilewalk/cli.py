@@ -46,6 +46,7 @@ from .green_martin import (
     green_table,
     hitting_vector,
     martin_traces,
+    ray_word,
     shadow_hull,
     write_green_table,
 )
@@ -81,21 +82,22 @@ run.targets = "1/2"
 run.x_grid = "1/10, 1/5, 3/10, 39/100, 2/5, 41/100, 1/2, 3/5, 9/10"
 """
 
-_SCHEMA = {
-    "system.degree": int,
-    "kernel.family": str,
-    "kernel.x": Fraction,
-    "kernel.table": str,
-    "kernel.base_level": int,
-    "run.max_level": int,
-    "run.n_paths": int,
-    "run.n_steps": int,
-    "run.seed": int,
-    "run.bin_level": int,
-    "run.window_level": int,
-    "run.trace_level": int,
-    "run.targets": list,
-    "run.x_grid": list,
+# scenario key -> (Scenario attribute, value type)
+_KEYS = {
+    "system.degree": ("degree", int),
+    "kernel.family": ("kernel_family", str),
+    "kernel.x": ("x", Fraction),
+    "kernel.table": ("table_path", str),
+    "kernel.base_level": ("base_level", int),
+    "run.max_level": ("max_level", int),
+    "run.n_paths": ("n_paths", int),
+    "run.n_steps": ("n_steps", int),
+    "run.seed": ("seed", int),
+    "run.bin_level": ("bin_level", int),
+    "run.window_level": ("window_level", int),
+    "run.trace_level": ("trace_level", int),
+    "run.targets": ("targets", list),
+    "run.x_grid": ("x_grid", list),
 }
 
 # quadruples the multiplicativity check draws, and its cap on draws
@@ -165,10 +167,10 @@ def parse_scenario(document: str) -> Scenario:
             continue
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
-        kind = _SCHEMA[key]
+        kind = _KEYS[key][1]
         if kind is int:
             try:
                 values[key] = int(value)
@@ -186,28 +188,10 @@ def parse_scenario(document: str) -> Scenario:
             values[key] = value.strip('"')
 
     scn = Scenario(text=document)
-    if "system.degree" in values:
-        scn.degree = values["system.degree"]
-    if "kernel.family" in values:
-        scn.kernel_family = values["kernel.family"]
-    if "kernel.x" in values:
-        scn.x = values["kernel.x"]
+    for key, value in values.items():
+        setattr(scn, _KEYS[key][0], value)
     if "kernel.table" in values:
-        scn.table_path = values["kernel.table"]
         scn.kernel_family = "table"
-    if "kernel.base_level" in values:
-        scn.base_level = values["kernel.base_level"]
-    for key, attr in (("run.max_level", "max_level"), ("run.n_paths", "n_paths"),
-                      ("run.n_steps", "n_steps"), ("run.seed", "seed"),
-                      ("run.bin_level", "bin_level"),
-                      ("run.window_level", "window_level"),
-                      ("run.trace_level", "trace_level")):
-        if key in values:
-            setattr(scn, attr, values[key])
-    if "run.targets" in values:
-        scn.targets = values["run.targets"]
-    if "run.x_grid" in values:
-        scn.x_grid = values["run.x_grid"]
 
     if scn.degree < 2:
         problems.append("system.degree: must be >= 2")
@@ -221,8 +205,7 @@ def parse_scenario(document: str) -> Scenario:
     if scn.table_path and not Path(scn.table_path).exists():
         problems.append(f"kernel.table: no such file {scn.table_path!r}")
     for key, cap in _CAPS.items():
-        attr = key.split(".", 1)[1]
-        if getattr(scn, attr) > cap:
+        if getattr(scn, _KEYS[key][0]) > cap:
             problems.append(f"{key}: exceeds cap {cap}")
     for xg in scn.x_grid:
         if not 0 < xg < 1:
@@ -510,7 +493,7 @@ def _cmd_checks(scn: Scenario, out: OutputWriter, workers: int) -> int:
 def _cmd_demo_doubling(scn: Scenario, out: OutputWriter, workers: int) -> int:
     xv = scn.x
     c = classify_doubling_boundary(xv)
-    kernel = doubling_kernel(xv, depth_limit=64)
+    kernel = doubling_kernel(xv)
     xi = Fraction(1, 2)
     n_max = max(scn.trace_level, 25)
     traces = {t.ray_offset: t for t in
@@ -518,7 +501,6 @@ def _cmd_demo_doubling(scn: Scenario, out: OutputWriter, workers: int) -> int:
     left_ray = traces[-2]      # the ray one tile left of 1/2
     side_ray = traces[-1]      # the ray of tiles ending at 1/2
     anchor_level = scn.window_level
-    from .green_martin import ray_word
     cols = [ray_word(xi, anchor_level, off) for off in (-2, -1, 0)]
     lim = left_ray.limit
     ratios = None

@@ -24,8 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from .green_martin import green_table, hitting_vector, root_numerators
-from .kernels import Kernel, LevelOverflowError, index_dtype
-from .symbolic import ROOT, Word, shift
+from .kernels import (
+    Kernel,
+    LevelOverflowError,
+    index_dtype,
+    positive_law,
+    shift_pushforward,
+)
+from .symbolic import ROOT, Word
 
 
 def _log_int(n: int) -> float:
@@ -710,15 +716,9 @@ def quasi_invariance_check(measure: EmpiricalMeasure, kernel: Kernel) -> QuasiIn
     rows = [dict(kernel.outgoing(u)) for u in level1]
     rows_identical = all(r == rows[0] for r in rows[1:])
 
-    def pushed(u: Word) -> dict[Word, Fraction]:
-        acc: dict[Word, Fraction] = {}
-        for w, p in kernel.outgoing(u):
-            sw = shift(w)
-            acc[sw] = acc.get(sw, Fraction(0)) + p
-        return acc
-
-    root_row = {w: p for w, p in root_out if p}
-    level1_equivariant = all(pushed(u) == root_row for u in level1)
+    root_law = positive_law(root_out)
+    level1_equivariant = all(shift_pushforward(kernel.outgoing(u)) == root_law
+                             for u in level1)
     exact = s1 == 1 and (rows_identical or level1_equivariant)
 
     m = measure.bin_level

@@ -20,7 +20,8 @@ denominators on the kernel's step tables; Fractions are built at the edge.
 
 Shadows, their hulls and neighborhoods depend only on the support of F: a
 shadow is the sorted tile-index array per level of the forward DP, and the
-tiles whose shadows meet it are one backward reach from its deepest levels.
+tiles whose shadows meet it are the support of the backward DP from its
+deepest levels.
 """
 
 from __future__ import annotations
@@ -249,25 +250,6 @@ def martin_kernel(green_o: GreenTable, green_u: GreenTable, v: Word) -> Fraction
 Cells = dict[int, np.ndarray]
 
 
-def _closure(step, seeds: Cells, levels: range) -> Cells:
-    """The tiles reached from ``seeds`` by repeated ``step`` (the kernel's
-    ``source_cells``), kept on ``levels``.  The levels are walked in the
-    stepping direction, so each is complete when reached: every transition
-    changes the level that way."""
-    found = {n: [c] for n, c in seeds.items()}
-    cells: Cells = {}
-    for n in levels:
-        if n not in found:
-            continue
-        cells[n] = np.unique(np.concatenate(found.pop(n)))
-        if n == levels[-1]:
-            break
-        for m, reached in step(n, cells[n]):
-            if m in levels:
-                found.setdefault(m, []).append(reached)
-    return cells
-
-
 def _shadow_cells(kernel: Kernel, u: Word, max_level: int) -> Cells:
     """The tiles v with F(u, v) > 0 and |v| <= max_level (u included): the
     support of the forward DP from u."""
@@ -288,14 +270,20 @@ def _neighbors(kernel: Kernel, u: Word, max_level: int) -> tuple[Cells, set[Word
 
     Every tile has a positive transition at most R levels down, so two
     shadows truncated at L that meet also meet on the levels (L - R, L].
-    The tiles whose shadows meet u's are therefore the backward reach of
-    u's shadow on those levels, taken once for all candidates.
+    The tiles whose shadows meet u's are therefore the support of the
+    backward DP from u's shadow on those levels, taken once for all
+    candidates.
     """
     radius, d = kernel.radius, kernel.realization.degree
     shadow = _shadow_cells(kernel, u, max_level)
     lowest, top = max(u.level - radius, 0), min(u.level + radius, max_level)
-    seeds = {n: c for n, c in shadow.items() if n > max_level - radius}
-    meeting = _closure(kernel.source_cells, seeds, range(max_level, lowest - 1, -1))
+    meeting: dict[int, set[int]] = {}
+    for n, cells in shadow.items():
+        if n > max_level - radius:
+            for l, lo, band in _backward(kernel, n, cells, lowest):
+                if l <= top:
+                    rows, cols = np.nonzero(band)
+                    meeting.setdefault(l, set()).update(((lo[rows] + cols) % d**l).tolist())
     # only tiles near u's tile can share its shadow
     span = 3 * max(radius, 1) + int(kernel.reach) + 2
     neighbors: set[Word] = set()
@@ -308,7 +296,7 @@ def _neighbors(kernel: Kernel, u: Word, max_level: int) -> tuple[Cells, set[Word
         else:
             center = u.index(d) * size // d**u.level if u.level else 0
             candidates = {i % size for i in range(center - span, center + span + 1)}
-        met = candidates.intersection(meeting.get(level, np.empty(0)).tolist())
+        met = candidates & meeting.get(level, set())
         neighbors.update(Word.from_index(i, level, d) for i in met)
     return shadow, neighbors
 
@@ -331,8 +319,8 @@ def shadow_set(kernel: Kernel, u: Word, max_level: int) -> frozenset[Word]:
 
 
 def shadow_and_neighbors(kernel: Kernel, u: Word, max_level: int) -> NeighborSet:
-    """Shadow by forward reachability; neighbors by the backward reach of
-    its deepest R levels, within the level band given by the kernel radius."""
+    """Shadow by the forward DP; neighbors by the backward DP from its
+    deepest R levels, within the level band given by the kernel radius."""
     shadow, neighbors = _neighbors(kernel, u, max_level)
     return NeighborSet(u, max_level, _words(shadow, kernel.realization.degree), neighbors,
                        u.level + kernel.radius > max_level)

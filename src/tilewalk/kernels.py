@@ -97,6 +97,20 @@ def _padded(groups: dict[int, list[int]], size: int,
     return table, mask
 
 
+def positive_law(row: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
+    """The positive masses of an outgoing row, summed per target."""
+    law: dict[Word, Fraction] = {}
+    for w, p in row:
+        if p > 0:
+            law[w] = law.get(w, Fraction(0)) + p
+    return law
+
+
+def shift_pushforward(row: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
+    """The law of sigma w for w drawn from the row, over its positive masses."""
+    return positive_law((shift(w), p) for w, p in row)
+
+
 def _check_rows(rows: dict[Word, list[tuple[Word, Fraction]]]):
     for u, out in rows.items():
         total = sum((p for _, p in out), Fraction(0))
@@ -147,7 +161,7 @@ class EquivariantTableKernel:
         self.window = {u: tuple(out) for u, out in window.items()}
         self.radius = max(v.level - u.level for u, v, _ in spec.entries)
         # farthest a window target sits from its source, in units of the
-        # source tile width; rules the lift search band
+        # source tile width; rules the lift search band and the predecessor span
         self.reach = max(
             (tile_of(self.realization, v).distance(tile_of(self.realization, u))
              * d ** u.level
@@ -155,25 +169,11 @@ class EquivariantTableKernel:
             default=Fraction(0))
         self._check_window_equivariance()
         self.rows = self._compile()
-        # the positive transitions for predecessors: inside the window by
-        # target; above it by level step r and target index mod d^(N0+r),
-        # which fixes the class of a source and so the offsets that reach j
-        self._window_sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        class_offsets: dict[tuple[int, int], list[int]] = {}
-        for (n, i), row in zip(self.row_tiles, self.rows):
-            for r, offset, p in row:
-                if p > 0 and n <= n0:
-                    self._window_sources.setdefault((n + r, d**r * i + offset), []).append((n, i))
-                elif p > 0:
-                    key = (r, (d**r * i + offset) % d ** (n0 + r))
-                    class_offsets.setdefault(key, []).append(offset)
         # Q, the lcm of the row denominators: a step of r levels weighs p Q^r
         self.scale = math.lcm(*(p.denominator for row in self.rows for _, _, p in row))
-        # the same positive transitions as padded tables per level step r,
-        # to step whole index arrays: offsets, mask and integer weights by
-        # row id, and above the window offsets by target index mod d^(N0+r)
+        # the positive transitions as padded tables per level step r, to step
+        # whole index arrays: offsets, mask and integer weights by row id
         self.step_tables = []
-        self._backward_tables = []
         for step in range(1, self.radius + 1):
             by_row = {k: [(offset, p * self.scale**step) for r, offset, p in row
                           if r == step and p > 0]
@@ -183,9 +183,6 @@ class EquivariantTableKernel:
             weights, _ = _padded({k: [int(w) for _, w in g] for k, g in by_row.items()},
                                  len(self.rows), value_dtype(self.scale**step))
             self.step_tables.append((offsets, mask, weights))
-            by_residue = {res: offsets for (r, res), offsets in class_offsets.items()
-                          if r == step}
-            self._backward_tables.append(_padded(by_residue, d ** (n0 + step)))
         # backward-DP offset bounds and stencils, compiled on first use; finitely many
         self.band_tables: dict = {}
 
@@ -195,10 +192,7 @@ class EquivariantTableKernel:
         for u in self.window:
             if u.level < 2:
                 continue
-            pushed: dict[Word, Fraction] = {}
-            for w, p in self.window[u]:
-                pushed[shift(w)] = pushed.get(shift(w), Fraction(0)) + p
-            base = {w: p for w, p in self.window[shift(u)]}
+            pushed, base = shift_pushforward(self.window[u]), positive_law(self.window[shift(u)])
             if pushed != base:
                 raise KernelError(
                     f"base window violates shift-equivariance at {u}: "
@@ -283,25 +277,6 @@ class EquivariantTableKernel:
         return [(n + r, (d**r * i + offset) % d ** (n + r), p)
                 for r, offset, p in self.rows[self.row_id(n, i)]]
 
-    def source_cells(self, m: int, cells: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """(level, indices) of the tiles with a positive transition into the
-        level-m tiles indexed ``cells``, one pair per level; an index reached
-        twice is listed twice."""
-        d, n0 = self.realization.degree, self.base_level
-        window: dict[int, list[int]] = {}
-        if m <= n0 + self.radius:
-            for j in cells.tolist():
-                for n, i in self._window_sources.get((m, j), ()):
-                    window.setdefault(n, []).append(i)
-        out = [(n, np.array(found, dtype=cells.dtype)) for n, found in window.items()]
-        for r in range(1, min(self.radius, m - n0 - 1) + 1):
-            offsets, mask = self._backward_tables[r - 1]
-            res = (cells % d ** (n0 + r)).astype(np.int64)
-            # d^r i + offset = j (mod d^m) fixes i mod d^(m-r)
-            out.append((m - r, (cells[:, None] - offsets[res])[mask[res]] // d**r
-                        % d ** (m - r)))
-        return out
-
     def outgoing(self, u: Word) -> tuple[tuple[Word, Fraction], ...]:
         if u.level <= self.base_level and u.level < self.depth_limit:
             return self.window[u]           # the window rows, as Words
@@ -310,10 +285,25 @@ class EquivariantTableKernel:
                      for m, j, p in self._targets(u.level, u.index(d)))
 
     def predecessors(self, v: Word) -> list[Word]:
-        d = self.realization.degree
-        cells = np.array([v.index(d)], dtype=index_dtype(d, v.level))
-        return [Word.from_index(i, n, d) for n, found in self.source_cells(v.level, cells)
-                for i in np.unique(found).tolist()]
+        """The tiles with a positive transition into v, level by level.
+
+        A window target sits within reach * d^-|u| of its source's tile, so
+        a source r levels up is at most int(reach) + 1 tiles from the
+        ancestor of v on its level; of those, keep the ones whose step table
+        lands on v modulo d^|v|.
+        """
+        d, m = self.realization.degree, v.level
+        j = v.index(d)
+        span = int(self.reach) + 1
+        found = []
+        for r, (offsets, mask, _) in enumerate(self.step_tables[:m], 1):
+            n = m - r
+            for i in sorted({(j // d**r + t) % d**n for t in range(-span, span + 1)}):
+                k = self.row_id(n, i)
+                if any((d**r * i + offset) % d**m == j
+                       for offset in offsets[k][mask[k]].tolist()):
+                    found.append(Word.from_index(i, n, d))
+        return found
 
     def weight(self, u: Word, v: Word) -> Fraction:
         return sum((p for w, p in self.outgoing(u) if w == v), Fraction(0))
@@ -466,13 +456,7 @@ def validate_assumptions(kernel: Kernel, graph: TileGraph | None = None) -> Vali
                     coverage = AssumptionResult(False, f"missing {u} -> {v}")
 
     def equivariant_at(u: Word) -> bool:
-        pushed: dict[Word, Fraction] = {}
-        for w, p in outgoing[u]:
-            sw = shift(w)
-            pushed[sw] = pushed.get(sw, Fraction(0)) + p
-        base = {w: p for w, p in outgoing[shift(u)] if p > 0}
-        pushed = {w: p for w, p in pushed.items() if p > 0}
-        return pushed == base
+        return shift_pushforward(outgoing[u]) == positive_law(outgoing[shift(u)])
 
     # one verdict per vertex of levels 1..top, read by the check, the scan
     # for the finest equivariant level and the level-1 note

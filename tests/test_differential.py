@@ -27,10 +27,8 @@ from tilewalk.ergodics import (
     sample_paths,
 )
 from tilewalk.green_martin import (
-    _closure,
     _hull,
     _shadow_cells,
-    _words,
     brute_force_hitting,
     check_multiplicative,
     green_table,
@@ -841,8 +839,30 @@ def test_backward_reach_matches_hitting_vector_support(name, data):
     d = k.realization.degree
     m = data.draw(st.integers(0, 8))
     j = data.draw(st.integers(0, d**m - 1))
-    reach = _closure(k.source_cells, {m: np.array([j])}, range(m, -1, -1))
-    assert _words(reach, d) == set(hitting_vector(k, Word.from_index(j, m, d)))
+    reach = frontier = {Word.from_index(j, m, d)}
+    while frontier:
+        frontier = {u for w in frontier for u in k.predecessors(w)} - reach
+        reach = reach | frontier
+    assert reach == set(hitting_vector(k, Word.from_index(j, m, d)))
+
+
+@pytest.mark.parametrize("name", ["x=3/5,N0=2", "far-reach", "uneven", "root-jump"])
+def test_predecessors_and_neighbors_near_the_depth_limit(name):
+    # indices past int64: both run on Python integers
+    k = _SHADOW_KERNELS[name]
+    for j, m in ((0, 64), (2**64 - 1, 64), (2**61 + 5, 62), (2**59 - 1, 59)):
+        v = Word.from_index(j, m, 2)
+        # every tile within 8 of an ancestor of v a step can come from
+        candidates = {Word.from_index((j >> r) + t, m - r, 2)
+                      for r in range(1, k.radius + 1) for t in range(-8, 9)}
+        sources = {u for u in candidates if any(w == v and p > 0 for w, p in k.outgoing(u))}
+        preds = k.predecessors(v)
+        assert len(preds) == len(set(preds))
+        assert set(preds) == sources
+    for i, n in ((0, 59), (2**61 - 1, 61), (2**62 + 3, 63)):
+        u = Word.from_index(i, n, 2)
+        ns = shadow_and_neighbors(k, u, 63)
+        assert (ns.shadow, ns.neighbors) == _reference_neighbors(k, u, 63)
 
 
 @pytest.mark.parametrize("name", ["x=3/5,N0=2", "x=1/3,N0=3", "far-reach", "odd-child"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilewalk.green_martin import green_table
 from tilewalk.symbolic import ROOT, CircleRealization, Word, parse_word, shift
 from tilewalk.tile_graph import build_graph
 from tilewalk.kernels import (
@@ -183,6 +184,18 @@ def test_extension_rejects_inconsistent_window(graph6):
               [(u, v, p) for v, p in row[2:]]
     with pytest.raises(KernelError, match="equivariance"):
         extend_by_equivariance(TableSpec(2, tuple(others) + tuple(swapped)), graph6)
+
+
+@pytest.mark.parametrize("base_level,source,target", [(3, "00", "011"), (2, "0", "001")])
+def test_zero_entries_leave_the_window_equivariant(graph6, base_level, source, target):
+    # a zero-probability entry is no transition: the window still commutes
+    # with the shift, and the walk is that of the table without the entry
+    spec = doubling_table_spec(F(1, 4), base_level)
+    zero = (parse_word(source), parse_word(target), F(0))
+    padded = extend_by_equivariance(TableSpec(base_level, spec.entries + (zero,)), graph6)
+    assert validate_assumptions(padded).passed
+    plain = extend_by_equivariance(spec, graph6)
+    assert green_table(padded, ROOT, 7).values == green_table(plain, ROOT, 7).values
 
 
 def test_lift_resolves_wraparound():
