@@ -4,8 +4,9 @@ invariance checks.
 
 Sampling draws floating-point uniforms from one seeded stream per path
 (derived from the scenario seed and the path index), so results are
-bit-reproducible regardless of worker count; sampled paths are held as
-integer arrays (``PathSamples``).  Everything downstream of the
+bit-reproducible regardless of worker count.  The streams are CPython's
+Mersenne Twister, seeded for many paths at once in numpy; sampled paths are
+held as integer arrays (``PathSamples``).  Everything downstream of the
 sampled indices that feeds an exact identity -- hitting probabilities,
 cylinder weights, pushforward bin maps -- stays in integer or rational
 arithmetic; logarithms and bin masses are the only floating-point outputs.
@@ -169,47 +170,138 @@ class PathSamples(Sequence):
     def final_midpoints(self) -> list[tuple[int, int]]:
         """Reduced (numerator, denominator) of each final tile's midpoint
         (2i + 1) / (2 d^n)."""
-        out: list[tuple[int, int]] = [(0, 1)] * len(self)
+        nums, dens = np.empty(len(self), dtype=object), np.empty(len(self), dtype=object)
         for rows, idx, n in self.by_final_level():
-            den = 2 * self.degree**n
-            for r, i in zip(rows.tolist(), idx.tolist()):
-                num = 2 * i + 1
-                g = math.gcd(num, den)
-                out[r] = (num // g, den // g)
-        return out
+            # 2 d^n needs the spare digit of a level-(n + 1) index dtype
+            dtype = index_dtype(self.degree, n + 1)
+            num = 2 * idx.astype(dtype) + 1
+            den = np.array(2 * self.degree**n, dtype=dtype)
+            g = np.gcd(num, den)
+            nums[rows] = (num // g).tolist()
+            dens[rows] = (den // g).tolist()
+        return list(zip(nums.tolist(), dens.tolist()))
+
+
+def _stream_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """``_stream_seed(seed, p)`` for p in start..stop-1, each hash continuing
+    one shared hash of the prefix ``tilewalk:{seed}:``."""
+    prefix = hashlib.sha256(f"tilewalk:{seed}:".encode())
+    digests = bytearray()
+    for p in range(start, stop):
+        h = prefix.copy()
+        h.update(str(p).encode())
+        digests += h.digest()[:8]
+    return np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+
+
+# CPython's Mersenne Twister (MT19937): state size and twist offset
+_MT_N, _MT_M = 624, 397
+# paths seeded at once: a (624, 8192) uint32 state, 20 MB
+_SEED_CHUNK = 8192
+
+
+def _init_genrand(s: int) -> np.ndarray:
+    """MT19937's init_genrand(s), the state init_by_array starts from."""
+    mt = [s]
+    for i in range(1, _MT_N):
+        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
+    return np.array(mt, dtype=np.uint32)
+
+
+_MT_INIT = _init_genrand(19650218)
+
+
+def _mt_mix(prev: np.ndarray, row: np.ndarray, tmp: np.ndarray, mult: np.uint32):
+    """row ^= (prev ^ (prev >> 30)) * mult, modulo 2^32: the mixing half of
+    one init_by_array step."""
+    np.right_shift(prev, 30, out=tmp)
+    np.bitwise_xor(tmp, prev, out=tmp)
+    np.multiply(tmp, mult, out=tmp)
+    row ^= tmp
+
+
+def _mt_outputs(stream_seeds: np.ndarray, n_words: int) -> np.ndarray:
+    """The first n_words 32-bit outputs of ``random.Random(s)`` for each
+    stream seed s < 2^64, one column per seed.
+
+    ``random.Random(s)`` seeds by init_by_array over the little-endian 32-bit
+    words of s: one key word when s < 2^32, two otherwise.  Its two loops
+    (624 and 623 steps) run here on a (624, chunk) uint32 state, one row per
+    step and the same ufuncs for every seed.  Step t of the first loop adds
+    key[j] + j, j = t mod (key length): key[0] at even t, and key[1] + 1 at
+    odd t (key[0] again for a one-word key).  The first twist makes word i
+    from the old words i, i + 1 and i + 397, so the first 227 outputs need
+    no word that twist has already replaced; only those are twisted and
+    tempered.  ``_SEED_CHUNK`` bounds the state.
+    """
+    if n_words > _MT_N - _MT_M:
+        raise ValueError(f"at most {_MT_N - _MT_M} outputs per seed, got {n_words}")
+    out = np.empty((n_words, len(stream_seeds)), dtype=np.uint32)
+    state = np.empty((_MT_N, min(len(stream_seeds), _SEED_CHUNK)), dtype=np.uint32)
+    for a in range(0, len(stream_seeds), _SEED_CHUNK):
+        s = stream_seeds[a:a + _SEED_CHUNK]
+        mt = state[:, :len(s)]
+        mt[:] = _MT_INIT[:, None]
+        rows = list(mt)
+        tmp = np.empty(len(s), dtype=np.uint32)
+        low = (s & 0xFFFFFFFF).astype(np.uint32)
+        high = (s >> 32).astype(np.uint32)
+        keys = (low, np.where(high > 0, high + np.uint32(1), low))
+        i = 1
+        for t in range(_MT_N):
+            _mt_mix(rows[i - 1], rows[i], tmp, np.uint32(1664525))
+            rows[i] += keys[t % 2]
+            i += 1
+            if i == _MT_N:
+                rows[0][:] = rows[-1]
+                i = 1
+        for _ in range(_MT_N - 1):
+            _mt_mix(rows[i - 1], rows[i], tmp, np.uint32(1566083941))
+            rows[i] -= np.uint32(i)
+            i += 1
+            if i == _MT_N:
+                rows[0][:] = rows[-1]
+                i = 1
+        rows[0][:] = 0x80000000
+        y = (mt[:n_words] & 0x80000000) | (mt[1:n_words + 1] & 0x7FFFFFFF)
+        y = mt[_MT_M:_MT_M + n_words] ^ (y >> 1) ^ ((y & 1) * np.uint32(0x9908B0DF))
+        y ^= y >> 11
+        y ^= (y << 7) & 0x9D2C5680
+        y ^= (y << 15) & 0xEFC60000
+        y ^= y >> 18
+        out[:, a:a + len(s)] = y
+    return out
+
+
+def _mt_random(stream_seeds: np.ndarray, n_draws: int) -> np.ndarray:
+    """The first n_draws of ``random.Random(s).random()`` for each stream
+    seed s, one column per seed.
+
+    ``random()`` builds each draw from two consecutive 32-bit outputs a, b
+    as ((a >> 5) * 2**26 + (b >> 6)) / 2**53.
+    """
+    words = _mt_outputs(stream_seeds, 2 * n_draws)
+    draws = (words[0::2] >> 5) * 67108864.0
+    draws += words[1::2] >> 6
+    draws *= 1.0 / 9007199254740992.0
+    return draws
 
 
 def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Stream seeds of paths start..stop-1 and the first n_steps draws of
-    ``random.Random(stream_seed).random()`` for each, as a matrix.
-
-    ``random()`` builds each draw from two consecutive 32-bit Mersenne
-    Twister outputs a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and
-    ``getrandbits(64 * n)`` returns the same 2n outputs with the first one in
-    the lowest bits, so one call per path gives all of its draws.
-    """
-    rng = random.Random()
-    # the C-level seeding; random.Random.seed only adds a dispatch on the
-    # argument type in front of it
-    reseed = super(random.Random, rng).seed
-    seeds = np.empty(stop - start, dtype=np.uint64)
-    words = bytearray()
-    for row, idx in enumerate(range(start, stop)):
-        s = _stream_seed(seed, idx)
-        seeds[row] = s
-        reseed(s)
-        words += rng.getrandbits(64 * n_steps).to_bytes(8 * n_steps, "little")
-    w = np.frombuffer(words, dtype="<u4").reshape(stop - start, 2 * n_steps)
-    uniforms = ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) * (1.0 / 9007199254740992.0)
-    return seeds, uniforms
+    ``random.Random(stream_seed).random()`` for each, as a matrix; every
+    path's stream is seeded in one vectorised pass (``_mt_outputs``)."""
+    seeds = _stream_seeds(seed, start, stop)
+    return seeds, _mt_random(seeds, n_steps).T
 
 
 @dataclass(frozen=True)
 class _StepRows:
-    """A kernel's compiled rows as arrays, which pool workers receive.  Entry
-    col of row k sits at k * width + col of ``steps``, ``offsets`` and
-    ``next_row`` (the child's row); ``thresholds[col, k]`` is the running
-    float sum of row k up to entry col, inf padding short rows."""
+    """The positive entries of a kernel's compiled rows as arrays, which
+    pool workers receive.  Entry col of row k sits at k * width + col of
+    ``steps``, ``offsets`` and ``next_row`` (the child's row);
+    ``thresholds[col, k]`` is the running float sum of row k up to entry
+    col, inf padding short rows."""
 
     degree: int
     radius: int
@@ -222,11 +314,13 @@ class _StepRows:
 
 def _step_rows(kernel: Kernel) -> _StepRows:
     d = kernel.realization.degree
-    width = max(len(row) for row in kernel.rows)
-    thresholds = np.full((width - 1, len(kernel.rows)), np.inf)
-    steps, offsets, next_row = (np.zeros((len(kernel.rows), width), dtype=np.int64)
+    # the positive entries: the radius bounds their steps only
+    positive = [[e for e in row if e[2] > 0] for row in kernel.rows]
+    width = max(len(row) for row in positive)
+    thresholds = np.full((width - 1, len(positive)), np.inf)
+    steps, offsets, next_row = (np.zeros((len(positive), width), dtype=np.int64)
                                 for _ in range(3))
-    for k, ((n, i), row) in enumerate(zip(kernel.row_tiles, kernel.rows)):
+    for k, ((n, i), row) in enumerate(zip(kernel.row_tiles, positive)):
         acc = 0.0
         for col, (r, offset, p) in enumerate(row):
             acc += float(p)
@@ -275,9 +369,11 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
                  workers: int = 1) -> PathSamples:
     """Draw independent level-increasing paths from the root.
 
-    Path p draws from its own ``random.Random`` stream, seeded from (seed,
-    p), so the result is bit-reproducible for fixed (seed, n_paths, n_steps)
-    no matter how many workers split the index range.
+    Path p draws from its own Mersenne Twister stream, the one
+    ``random.Random(_stream_seed(seed, p))`` produces, so the result is
+    bit-reproducible for fixed (seed, n_paths, n_steps) no matter how many
+    workers split the index range.  Each worker seeds the streams of its
+    paths together in numpy (``_mt_outputs``), then steps them together.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")

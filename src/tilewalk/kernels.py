@@ -159,13 +159,14 @@ class EquivariantTableKernel:
             if n <= n0 and u not in window:
                 raise KernelError(f"base window has no row for {u}")
         self.window = {u: tuple(out) for u, out in window.items()}
-        self.radius = max(v.level - u.level for u, v, _ in spec.entries)
+        # both over the positive entries: a zero-probability entry is never taken
+        self.radius = max(v.level - u.level for u, v, p in spec.entries if p > 0)
         # farthest a window target sits from its source, in units of the
         # source tile width; rules the lift search band and the predecessor span
         self.reach = max(
             (tile_of(self.realization, v).distance(tile_of(self.realization, u))
              * d ** u.level
-             for u, v, _ in spec.entries if not u.is_root()),
+             for u, v, p in spec.entries if p > 0 and not u.is_root()),
             default=Fraction(0))
         self._check_window_equivariance()
         self.rows = self._compile()
@@ -248,9 +249,10 @@ class EquivariantTableKernel:
                 for n, i in self.row_tiles if n <= n0]
 
         def lift_row(i: int, n: int):
+            # a zero-probability target may sit beyond the reach: not lifted
             u = Word.from_index(i, n, d)
             return [(w.level - n0, self._lift(u, w), p)
-                    for w, p in self.window[Word.from_index(i, n0, d)]]
+                    for w, p in self.window[Word.from_index(i, n0, d)] if p > 0]
 
         deep = n0 + 1
         while d**deep < 4 * d**n0 + 4:

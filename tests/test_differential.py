@@ -17,10 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilewalk.cli import fmt_frac, parse_scenario, run_command
+from tilewalk import ergodics
 from tilewalk.ergodics import (
     PathSamples,
     UnreachableSampleError,
+    _mt_outputs,
+    _mt_random,
     _stream_seed,
+    _uniforms,
     empirical_harmonic_measure,
     green_drift_estimate,
     root_hitting_probability,
@@ -159,6 +163,54 @@ def test_table_sampler_matches_reference_loop(spec, workers):
     k = extend_by_equivariance(spec, realization=CircleRealization(2))
     samples = sample_paths(k, 520, 7, seed=5, workers=workers)
     assert _rows(samples) == _reference_paths(k, 520, 7, 5, _reference_generic)
+
+
+# -- vectorised Mersenne Twister seeding -------------------------------------------
+
+
+def _assert_matches_random(seeds):
+    words = _mt_outputs(np.array(seeds, dtype=np.uint64), 128)
+    draws = _mt_random(np.array(seeds, dtype=np.uint64), 64)
+    for col, s in enumerate(seeds):
+        rng = random.Random(s)
+        assert words[:, col].tolist() == [rng.getrandbits(32) for _ in range(128)]
+        rng = random.Random(s)
+        assert draws[:, col].tolist() == [rng.random() for _ in range(64)]
+
+
+def test_mt_seeding_matches_random_at_key_length_edges():
+    # one key word below 2^32 (never drawn from sha256), two from 2^32 on
+    _assert_matches_random([0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+def test_mt_seeding_matches_random(seeds):
+    _assert_matches_random(seeds)
+
+
+def test_mt_outputs_refuse_words_the_first_twist_replaces():
+    assert _mt_outputs(np.array([5], dtype=np.uint64), 227).shape == (227, 1)
+    with pytest.raises(ValueError, match="227"):
+        _mt_outputs(np.array([5], dtype=np.uint64), 228)
+
+
+def test_uniforms_match_per_path_streams_across_chunks():
+    start, stop = 3, 3 + ergodics._SEED_CHUNK + 5
+    seeds, draws = _uniforms(17, start, stop, 64)
+    assert seeds.tolist() == [_stream_seed(17, p) for p in range(start, stop)]
+    for row, s in enumerate(seeds.tolist()):
+        rng = random.Random(s)
+        assert draws[row].tolist() == [rng.random() for _ in range(64)]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sampler_matches_reference_loop_across_chunks(workers):
+    # every worker seeds more than one chunk of paths
+    n_paths = 3 * ergodics._SEED_CHUNK + 7
+    k = doubling_kernel(F(3, 5))
+    samples = sample_paths(k, n_paths, 4, seed=13, workers=workers)
+    assert _rows(samples) == _reference_paths(k.x, n_paths, 4, 13, _reference_doubling)
 
 
 def test_path_samples_slicing_and_views():
@@ -394,6 +446,20 @@ def test_final_words_and_midpoints_match_word_formatting(degree, levels):
     for s, word, (num, den) in zip(samples, words, mids):
         assert word == str(s.final_word)
         assert f"{num}/{den}" == fmt_frac(s.final_midpoint())
+
+
+@pytest.mark.parametrize("degree,levels", [
+    (2, [61, 62] * 10), (2, [63, 64] * 5), (3, [39, 40, 41] * 10), (3, [5, 44] * 10)])
+def test_final_midpoints_match_reduced_fraction(degree, levels):
+    # d = 2 at level 62 needs 2 d^n = 2^63, one past int64; degree 3 reduces
+    # whenever 3 divides 2i + 1, here with object indices
+    samples = _mixed_samples(degree, levels, seed=11)
+    mids = samples.final_midpoints()
+    for s, (num, den) in zip(samples, mids):
+        assert F(num, den) == s.final_midpoint()
+        assert math.gcd(num, den) == 1
+    assert degree == 2 or any(den < 2 * degree**s.final_level
+                              for s, (_, den) in zip(samples, mids))
 
 
 @pytest.mark.parametrize("degree,levels,bin_level", [

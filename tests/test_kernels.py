@@ -1,6 +1,7 @@
 import io
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +197,23 @@ def test_zero_entries_leave_the_window_equivariant(graph6, base_level, source, t
     assert validate_assumptions(padded).passed
     plain = extend_by_equivariance(spec, graph6)
     assert green_table(padded, ROOT, 7).values == green_table(plain, ROOT, 7).values
+
+
+@pytest.mark.parametrize("base_level,source,target",
+                         [(2, "0", "001"), (3, "00", "011"), (2, "01", "11111")])
+def test_zero_entries_leave_radius_and_reach(base_level, source, target):
+    # radius and reach count the transitions taken, so a zero-probability
+    # entry neither deepens the step tables nor widens the lift band; the
+    # last entry sits on the base level, beyond the reach, and is not lifted
+    spec = doubling_table_spec(F(1, 4), base_level)
+    zero = (parse_word(source), parse_word(target), F(0))
+    r = CircleRealization(2)
+    padded = extend_by_equivariance(TableSpec(base_level, spec.entries + (zero,)), realization=r)
+    plain = extend_by_equivariance(spec, realization=r)
+    assert (padded.radius, padded.reach) == (plain.radius, plain.reach)
+    assert len(padded.step_tables) == len(plain.step_tables)
+    for ours, theirs in zip(padded.step_tables, plain.step_tables):
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
 
 def test_lift_resolves_wraparound():
