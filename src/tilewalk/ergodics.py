@@ -18,7 +18,6 @@ import hashlib
 import math
 import random
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -385,6 +384,9 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
     if workers <= 1 or n_paths < 512:
         chunks = [_sample_chunk(rows, 0, n_paths, n_steps, seed)]
     else:
+        # imported here: only a pooled run pays for loading it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = (n_paths + workers - 1) // workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sample_chunk, rows, a, min(a + chunk, n_paths),

@@ -375,36 +375,68 @@ class MultiplicativeReport:
         return self.lower_holds and self.upper_holds
 
 
+def multiplicative_reports(kernel: Kernel, quadruples: Sequence[tuple[Word, Word, Word, Word]],
+                           vectors: dict[Word, dict[Word, Fraction]]) -> list[MultiplicativeReport]:
+    """``check_multiplicative`` on each (v, s, u, w) of ``quadruples``, with
+    ``vectors[w]`` the ``hitting_vector`` of w.
+
+    Each exact object is built once for the whole list: the neighborhood of
+    each distinct (u, truncation level), and one forward DP from each
+    distinct v, run to the deepest level its quadruples read (s and the
+    neighbors).  F(v, s) and F(v, t) are read off that DP's sorted cells.
+    """
+    d, q, radius = kernel.realization.degree, kernel.scale, kernel.radius
+
+    def near(u: Word, w: Word) -> tuple[Word, int]:
+        # truncation deep enough that every true shadow intersection is visible
+        return u, max(u.level + radius + 4, w.level)
+
+    neighbors = {key: _neighbors(kernel, *key)[1]
+                 for key in {near(u, w) for _, _, u, w in quadruples}}
+    stops: dict[Word, int] = {}
+    for v, s, u, w in quadruples:
+        stops[v] = max(stops.get(v, v.level), s.level, *(t.level for t in neighbors[near(u, w)]))
+    forward = {v: _forward(kernel, v, stop) for v, stop in stops.items()}
+
+    def from_v(v: Word, t: Word) -> Fraction:
+        # F(v, t) for |t| <= stops[v], where the forward DP is exact
+        if t.level in forward[v]:
+            cells, nums = forward[v][t.level]
+            i = int(np.searchsorted(cells, t.index(d)))
+            if i < len(cells) and cells[i] == t.index(d):
+                return Fraction(int(nums[i]), q ** (t.level - v.level))
+        return Fraction(0)
+
+    reports = []
+    for v, s, u, w in quadruples:
+        vec_w = vectors[w]
+        f_vw, f_uw, f_sw = (vec_w.get(x, Fraction(0)) for x in (v, u, s))
+        pre_ok = v.level <= u.level and f_uw > 0
+        upper = sum((from_v(v, t) * vec_w[t] for t in neighbors[near(u, w)] if t in vec_w),
+                    Fraction(0))
+        lower = from_v(v, s) * f_sw
+        reports.append(MultiplicativeReport(
+            v=v, s=s, u=u, w=w,
+            lower=lower, middle=f_vw, upper=upper,
+            lower_holds=lower <= f_vw,
+            upper_holds=f_vw <= upper,
+            precondition_ok=pre_ok,
+            detail="" if pre_ok else "precondition violated: need |v| <= |u| and w in shadow(u)",
+        ))
+    return reports
+
+
 def check_multiplicative(kernel: Kernel, v: Word, s: Word, u: Word,
                          w: Word) -> MultiplicativeReport:
     """Evaluate both inequalities in exact rationals.
 
-    Preconditions (|v| <= |u|, w in the shadow of u) are reported, never
-    silently assumed.
+    F(v, w), F(u, w), F(s, w) and every F(t, w) come from one backward DP,
+    the hitting vector of w; F(v, s) and every F(v, t) from one forward DP
+    from v; N(u) is read off the backward DP from the deepest levels of
+    u's shadow, the support of the forward DP from u.  Preconditions (|v| <= |u|, w in the shadow of u) are
+    reported, never silently assumed.
     """
-    # w is a key of its own hitting vector, with F(w, w) = 1
-    vec_w = hitting_vector(kernel, w)
-    f_vw, f_uw, f_sw = (vec_w.get(x, Fraction(0)) for x in (v, u, s))
-    f_vs = green_value(kernel, v, s)
-
-    pre_ok = v.level <= u.level and f_uw > 0
-    detail = "" if pre_ok else "precondition violated: need |v| <= |u| and w in shadow(u)"
-
-    # truncation deep enough that every true shadow intersection is visible
-    _, neighbors = _neighbors(kernel, u, max(u.level + kernel.radius + 4, w.level))
-    # F(v, t) for every neighbor t from one forward table
-    from_v = green_table(kernel, v, max([v.level] + [t.level for t in neighbors]))
-    upper = sum((from_v.value(t) * vec_w.get(t, Fraction(0)) for t in neighbors), Fraction(0))
-
-    lower = f_vs * f_sw
-    return MultiplicativeReport(
-        v=v, s=s, u=u, w=w,
-        lower=lower, middle=f_vw, upper=upper,
-        lower_holds=lower <= f_vw,
-        upper_holds=f_vw <= upper,
-        precondition_ok=pre_ok,
-        detail=detail,
-    )
+    return multiplicative_reports(kernel, [(v, s, u, w)], {w: hitting_vector(kernel, w)})[0]
 
 
 # -- Martin traces ------------------------------------------------------------

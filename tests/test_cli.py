@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -212,6 +215,51 @@ def test_checks_multiplicativity_attempt_cap(tmp_path, monkeypatch):
             if not line.startswith("#")]
     mult = next(r for r in rows if r[0] == "multiplicativity")
     assert mult[1:] == ["FAIL", "0 quadruples in 4000 attempts"]
+
+
+def _body(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_checks_builds_one_hitting_vector_per_drawn_target(tmp_path, monkeypatch):
+    import tilewalk.cli as cli
+
+    calls = []
+    original = cli.hitting_vector
+    monkeypatch.setattr(cli, "hitting_vector",
+                        lambda kernel, w: calls.append(w) or original(kernel, w))
+    assert run_command("checks", parse_scenario(REFERENCE_SCENARIO), tmp_path) == EXIT_OK
+    # 393 draws of w from the 128 level-7 tiles hit 122 distinct ones
+    assert len(set(calls)) == len(calls) == 122
+    assert _body(tmp_path / "checks.tsv") == [
+        "assumptions\tok\tminimal_R=1",
+        "green_dp_vs_enumeration\tok\t63 targets",
+        "multiplicativity\tok\t200 quadruples in 393 attempts",
+        "cylinder_invariance\tok\t30 cylinders",
+        "shadow_geometry\tok\tlevels <= 6",
+    ]
+
+
+def test_checks_multiplicativity_fails_by_an_inequality(tmp_path, monkeypatch):
+    import tilewalk.green_martin as green_martin
+
+    # with every neighbourhood empty the upper sum is 0 < F(v, w)
+    monkeypatch.setattr(green_martin, "_neighbors", lambda kernel, u, max_level: ({}, set()))
+    assert run_command("checks", parse_scenario(REFERENCE_SCENARIO), tmp_path) == EXIT_PROPERTY
+    rows = {row.split("\t")[0]: row.split("\t")[1:] for row in _body(tmp_path / "checks.tsv")}
+    assert rows["multiplicativity"] == ["FAIL", "200 quadruples in 393 attempts"]
+    assert [name for name, (verdict, _) in rows.items() if verdict != "ok"] == ["multiplicativity"]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a pooled sample_paths loads concurrent.futures
+    import tilewalk
+
+    src = str(Path(tilewalk.__file__).resolve().parent.parent)
+    code = "import sys, tilewalk.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"
 
 
 def test_classify_x_replaces_scenario_grid(tmp_path):

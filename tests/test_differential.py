@@ -31,6 +31,7 @@ from tilewalk.ergodics import (
     sample_paths,
 )
 from tilewalk.green_martin import (
+    MultiplicativeReport,
     _hull,
     _shadow_cells,
     brute_force_hitting,
@@ -38,6 +39,7 @@ from tilewalk.green_martin import (
     green_table,
     green_value,
     hitting_vector,
+    multiplicative_reports,
     root_numerators,
     shadow_and_neighbors,
     shadow_hull,
@@ -949,6 +951,63 @@ def test_multiplicative_upper_sum_matches_per_neighbor_values(name, data):
                  for t in neighbors), F(0))
     assert rep.upper == upper
     assert rep.middle == vec_w.get(v, F(0))
+
+
+def _reference_check_multiplicative(kernel, v, s, u, w):
+    """``check_multiplicative`` one quadruple at a time, as it was before the
+    batched evaluator: the hitting vector of w, F(v, s) by ``green_value``,
+    the Fraction neighbourhood and F(v, t) from one ``green_table``."""
+    vec_w = hitting_vector(kernel, w)
+    f_vw, f_uw, f_sw = (vec_w.get(x, F(0)) for x in (v, u, s))
+    f_vs = green_value(kernel, v, s)
+    pre_ok = v.level <= u.level and f_uw > 0
+    _, neighbors = _reference_neighbors(kernel, u, max(u.level + kernel.radius + 4, w.level))
+    from_v = green_table(kernel, v, max([v.level] + [t.level for t in neighbors]))
+    upper = sum((from_v.value(t) * vec_w.get(t, F(0)) for t in neighbors), F(0))
+    lower = f_vs * f_sw
+    return MultiplicativeReport(
+        v=v, s=s, u=u, w=w, lower=lower, middle=f_vw, upper=upper,
+        lower_holds=lower <= f_vw, upper_holds=f_vw <= upper, precondition_ok=pre_ok,
+        detail="" if pre_ok else "precondition violated: need |v| <= |u| and w in shadow(u)")
+
+
+@st.composite
+def _quadruple_lists(draw, kernel):
+    """Quadruples drawn from small pools of u, v and w, so that they repeat.
+    v may lie deeper than u; w is often a d-adic descendant of u; s is often
+    deeper than every neighbour of u, and usually outside v's cone."""
+    d, radius = kernel.realization.degree, kernel.radius
+
+    def tile(level):
+        return Word.from_index(draw(st.integers(0, d**level - 1)), level, d)
+
+    us = [tile(draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 2)))]
+    vs = [tile(draw(st.integers(0, 4))) for _ in range(draw(st.integers(1, 3)))]
+    ws = []
+    for _ in range(draw(st.integers(1, 3))):
+        u, extra = draw(st.sampled_from(us)), draw(st.integers(0, 3))
+        ws.append(draw(st.one_of(
+            st.builds(lambda j: Word.from_index(u.index(d) * d**extra + j, u.level + extra, d),
+                      st.integers(0, d**extra - 1)),
+            st.integers(0, 6).map(tile))))
+    quadruples = []
+    for _ in range(draw(st.integers(1, 5))):
+        u = draw(st.sampled_from(us))
+        ls = draw(st.one_of(st.integers(0, 6),
+                            st.integers(u.level + radius + 1, u.level + radius + 3)))
+        quadruples.append((draw(st.sampled_from(vs)), tile(ls), u, draw(st.sampled_from(ws))))
+    return quadruples, {w: hitting_vector(kernel, w) for w in ws}
+
+
+@pytest.mark.parametrize("name", _LIFT_IDS + ["uneven"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_multiplicative_reports_match_per_quadruple_reference(name, data):
+    k = _SHADOW_KERNELS[name]
+    quadruples, vectors = data.draw(_quadruple_lists(k))
+    reports = multiplicative_reports(k, quadruples, vectors)
+    assert reports == [_reference_check_multiplicative(k, *q) for q in quadruples]
+    assert check_multiplicative(k, *quadruples[0]) == reports[0]
 
 
 # -- the exact integer DP core ---------------------------------------------------
