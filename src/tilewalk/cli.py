@@ -363,9 +363,10 @@ def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
     with out.open("samples.tsv") as fh:
         fh.write("path\tstream_seed\tfinal_word\tmidpoint\n")
         # a midpoint (2i+1)/(2 d^n), n >= 1, never reduces to an integer
-        fh.writelines(f"{p}\t{s}\t{w}\t{num}/{den}\n" for p, s, w, (num, den) in zip(
+        nums, dens = samples.final_midpoint_arrays()
+        fh.writelines(f"{p}\t{s}\t{w}\t{num}/{den}\n" for p, s, w, num, den in zip(
             samples.path_index.tolist(), samples.stream_seed.tolist(),
-            samples.final_words(), samples.final_midpoints()))
+            samples.final_words(), nums.tolist(), dens.tolist()))
     measure = empirical_harmonic_measure(samples, scn.bin_level)
     with out.open("measure.tsv") as fh:
         fh.write("bin\tmass\n")

@@ -169,6 +169,11 @@ class PathSamples(Sequence):
     def final_midpoints(self) -> list[tuple[int, int]]:
         """Reduced (numerator, denominator) of each final tile's midpoint
         (2i + 1) / (2 d^n)."""
+        return list(zip(*(a.tolist() for a in self.final_midpoint_arrays())))
+
+    def final_midpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``final_midpoints`` as an array of numerators and one of
+        denominators, both of Python integers."""
         nums, dens = np.empty(len(self), dtype=object), np.empty(len(self), dtype=object)
         for rows, idx, n in self.by_final_level():
             # 2 d^n needs the spare digit of a level-(n + 1) index dtype
@@ -178,7 +183,7 @@ class PathSamples(Sequence):
             g = np.gcd(num, den)
             nums[rows] = (num // g).tolist()
             dens[rows] = (den // g).tolist()
-        return list(zip(nums.tolist(), dens.tolist()))
+        return nums, dens
 
 
 def _stream_seeds(seed: int, start: int, stop: int) -> np.ndarray:

@@ -11,7 +11,8 @@ finite sum over monotone paths.  Two exact DP directions are used:
   level size, so deep sources stay cheap;
 * backward from a single target over its ancestor cone
   (``hitting_vector``) -- this yields F(u, target) for every u at once and
-  is what Martin traces and path functionals use at depth 20+;
+  is what path functionals use at depth 20+; Martin traces run it from the
+  tiles of all their rays at once and read only their window;
 * both joined at a split level (``root_numerators``) -- F(o, t) for a batch
   of targets t, as the Green drift reads it at the end of every path.
 
@@ -508,8 +509,26 @@ def martin_trace(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
     and ``window_level + 1`` plus the root (whose kernel value is 1 by
     definition, a useful sanity row).
     """
+    return _martin_traces(kernel, Fraction(xi), window_level, n_max, (ray_offset,), tolerance)[0]
+
+
+def martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
+                  tolerance: float = 1e-9) -> list[MartinTrace]:
+    """Traces along every relevant one-sided ray: the four columns around a
+    d-adic point, or the containing column for an interior point."""
     xi = Fraction(xi)
     d = kernel.realization.degree
+    dyadic = (xi * Fraction(d) ** window_level).denominator == 1
+    offsets = (-2, -1, 0, 1) if dyadic else (0,)
+    return _martin_traces(kernel, xi, window_level, n_max, offsets, tolerance)
+
+
+def _martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
+                   ray_offsets: Sequence[int], tolerance: float) -> list[MartinTrace]:
+    """``martin_trace`` for each of ``ray_offsets``: one backward DP per ray
+    level from the tiles of every ray at once, whose bands are folded mod
+    d^l at the window tiles' indices only."""
+    d, q = kernel.realization.degree, kernel.scale
     if n_max > kernel.depth_limit:
         raise ValueError("n_max beyond kernel depth limit")
     if n_max < window_level + 4:
@@ -520,17 +539,45 @@ def martin_trace(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
     for wl in (window_level, window_level + 1):
         for off in offsets:
             window.append(ray_word(xi, wl, off, d))
+    columns: dict[int, list[Word]] = {}
+    for w in dict.fromkeys(window):
+        columns.setdefault(w.level, []).append(w)
+    at = {l: np.array([w.index(d) for w in ws], dtype=index_dtype(d, l))
+          for l, ws in columns.items()}
 
-    start = window_level + 2
-    ray = [ray_word(xi, n, ray_offset, d) for n in range(start, n_max + 1)]
-    vectors: list[dict[Word, Fraction]] = []
-    for v in ray:
-        vec = hitting_vector(kernel, v)
-        f_o = vec.get(ROOT)
-        if f_o is None:
-            raise ZeroDivisionError(f"target {v} outside the shadow of the root")
-        vectors.append({w: vec.get(w, Fraction(0)) / f_o for w in window})
+    levels = range(window_level + 2, n_max + 1)
+    rays = [[ray_word(xi, n, off, d) for n in levels] for off in ray_offsets]
+    # numerators[p][k][w]: Q^(n - |w|) F(w, v) for v the level-n tile of ray p
+    numerators: list[list[dict[Word, int]]] = [[] for _ in ray_offsets]
+    for k, n in enumerate(levels):
+        targets = np.array([ray[k].index(d) for ray in rays], dtype=index_dtype(d, n))
+        read = {}
+        for l, lo, band in _backward(kernel, n, targets, 0):
+            if l in at:
+                # F(w, v) sums the band over the lifts of w
+                cover = (lo[:, None] + np.arange(band.shape[1])) % d**l
+                read[l] = (band[:, :, None] * (cover[:, :, None] == at[l])).sum(axis=1).tolist()
+        for p, nums in enumerate(numerators):
+            nums.append({w: read[l][p][j] if l in read else 0
+                         for l, ws in columns.items() for j, w in enumerate(ws)})
 
+    traces = []
+    for off, ray, nums in zip(ray_offsets, rays, numerators):
+        vectors: list[dict[Word, Fraction]] = []
+        for v, num in zip(ray, nums):
+            if not num[ROOT]:
+                raise ZeroDivisionError(f"target {v} outside the shadow of the root")
+            # K(w, v) = F(w, v) / F(o, v)
+            vectors.append({w: Fraction(num[w] * q**w.level, num[ROOT]) for w in window})
+        traces.append(_trace(xi, window_level, off, ray, window, vectors, tolerance, d))
+    return traces
+
+
+def _trace(xi: Fraction, window_level: int, ray_offset: int, ray: list[Word],
+           window: list[Word], vectors: list[dict[Word, Fraction]], tolerance: float,
+           d: int) -> MartinTrace:
+    """The trace of one ray from its window vectors: convergence, Aitken
+    limit and growth."""
     # convergence flag on vectors normalized by their max entry
     sup_diff = math.inf
     if len(vectors) >= 2:
@@ -586,18 +633,6 @@ def martin_trace(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
         growth=growth,
         final_sup_difference=sup_diff,
     )
-
-
-def martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
-                  tolerance: float = 1e-9) -> list[MartinTrace]:
-    """Traces along every relevant one-sided ray: the four columns around a
-    d-adic point, or the containing column for an interior point."""
-    xi = Fraction(xi)
-    d = kernel.realization.degree
-    dyadic = (xi * Fraction(d) ** window_level).denominator == 1
-    offsets = (-2, -1, 0, 1) if dyadic else (0,)
-    return [martin_trace(kernel, xi, window_level, n_max, off, tolerance)
-            for off in offsets]
 
 
 # -- doubling boundary classification ----------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -121,6 +122,51 @@ def test_checks_reference_scenario_body(tmp_path):
         "cylinder_invariance\tok\t30 cylinders",
         "shadow_geometry\tok\tlevels <= 6",
     ]
+
+
+SUPERCRITICAL = Path(__file__).resolve().parent.parent / "scenarios" / "supercritical.scn"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_martin_supercritical_scenario_body(tmp_path, capsys):
+    # four rays at 1/2 and one at 1/3, levels 5..25, nine and seven window words
+    assert main(["martin", "--scenario", str(SUPERCRITICAL), "--out", str(tmp_path)]) == EXIT_OK
+    body = _body(tmp_path / "martin.tsv")
+    assert len(body) == 1 + 4 * 21 * 9 + 21 * 7
+    assert _digest("\n".join(body)) == \
+        "35f94493c1d4fd1799e62ad6fef1d2048c24af98c1a1f344f5b6449e3e9414ef"
+    assert _digest(capsys.readouterr().out) == \
+        "573452c44ed1e97cb746a3382fe93fa5eb0da7e6c71b2c3043bbc1398914028b"
+
+
+@pytest.mark.parametrize("x,rows", [
+    ("1/2", ["eigenvalues\t1/2,1/3,0", "contraction\t1", "trace_ratio\t1:2:1",
+             "side_growth\t3"]),
+    ("3/5", ["eigenvalues\t3/5,4/15,0", "contraction\t11/8", "trace_ratio\t5/2:7/2:1",
+             "side_growth\t15/4"]),
+])
+def test_demo_doubling_body(tmp_path, x, rows):
+    assert main(["demo-doubling", "--x", x, "--out", str(tmp_path)]) == EXIT_OK
+    assert _body(tmp_path / "demo.tsv") == [f"x\t{x}", "verdict\tnon_injective"] + rows
+
+
+def test_martin_runs_one_backward_dp_per_ray_level(tmp_path, monkeypatch):
+    import tilewalk.green_martin as green_martin
+
+    calls = []
+    original = green_martin._backward
+    monkeypatch.setattr(green_martin, "_backward", lambda kernel, level, targets, stop: (
+        calls.append((level, len(targets))) or original(kernel, level, targets, stop)))
+    vectors = []
+    monkeypatch.setattr(green_martin, "hitting_vector", lambda kernel, w: vectors.append(w))
+    assert run_command("martin", parse_scenario(SUPERCRITICAL.read_text()), tmp_path) == EXIT_OK
+    # the four rays at 1/2 share one DP per level, the ray at 1/3 has its own
+    levels = list(range(5, 26))
+    assert calls == [(n, 4) for n in levels] + [(n, 1) for n in levels]
+    assert vectors == []
 
 
 def test_checks_fail_exit_code(tmp_path):
@@ -260,6 +306,20 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_import_defaults_openblas_to_one_thread(preset, expected):
+    import tilewalk
+
+    src = str(Path(tilewalk.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, tilewalk; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**env, "PYTHONPATH": src})
+    assert result.stdout.strip() == expected
 
 
 def test_classify_x_replaces_scenario_grid(tmp_path):

@@ -3,12 +3,14 @@ the binning, the samples.tsv formatting, the integer lift of table kernels
 and their compiled rows, the integer tile-pair diameters, the level-sweep
 distance table and the geometry and validation built on them, and the
 integer shadows, hulls and neighbourhoods, and the exact integer DP core
-(``green_table``, ``hitting_vector``, ``root_numerators``) against per-path
-and per-vertex reference code, the Word/Fraction DPs kept here, the Fraction
-tile geometry, the lift itself and explicit path enumeration."""
+(``green_table``, ``hitting_vector``, ``root_numerators``) and the batched
+Martin window reads against per-path and per-vertex reference code, the
+Word/Fraction DPs kept here, the Fraction tile geometry, the lift itself and
+explicit path enumeration."""
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -39,7 +41,10 @@ from tilewalk.green_martin import (
     green_table,
     green_value,
     hitting_vector,
+    martin_trace,
+    martin_traces,
     multiplicative_reports,
+    ray_word,
     root_numerators,
     shadow_and_neighbors,
     shadow_hull,
@@ -1135,3 +1140,83 @@ def test_green_drift_radius_two_mixed_levels_matches_per_target(name):
         assert _reference_hitting_vector(k, s.final_word)[ROOT] == f
     gs = [-(math.log(f.numerator) - math.log(f.denominator)) / 9 for f in expected]
     assert np.allclose(report.g_over_n, gs, rtol=1e-12, atol=0)
+
+
+# -- batched Martin window reads -------------------------------------------------
+
+
+def _reference_windows(kernel, xi, window_level, n_max, offsets):
+    """The window, and K(w, v) = F(w, v) / F(o, v) from one ``hitting_vector``
+    per tile v of each ray, ray by ray."""
+    d = kernel.realization.degree
+    cols = (-2, -1, 0, 1) if (xi * d**window_level).denominator == 1 else (-1, 0, 1)
+    window = [ROOT] + [ray_word(xi, level, off, d)
+                       for level in (window_level, window_level + 1) for off in cols]
+    out = []
+    for off in offsets:
+        vectors = []
+        for n in range(window_level + 2, n_max + 1):
+            v = ray_word(xi, n, off, d)
+            vec = hitting_vector(kernel, v)
+            if ROOT not in vec:
+                raise ZeroDivisionError(f"target {v} outside the shadow of the root")
+            vectors.append({w: vec.get(w, F(0)) / vec[ROOT] for w in window})
+        out.append((off, window, vectors))
+    return out
+
+
+def _assert_windows_match(run, kernel, xi, window_level, n_max, offsets):
+    try:
+        expected = _reference_windows(kernel, xi, window_level, n_max, offsets)
+    except ZeroDivisionError as err:
+        with pytest.raises(ZeroDivisionError, match=f"^{re.escape(str(err))}$"):
+            run()
+        return
+    assert [(t.ray_offset, t.window, t.vectors) for t in run()] == expected
+
+
+@st.composite
+def _martin_cases(draw):
+    name = draw(st.sampled_from(["1/4", "2/5", "1/2", "3/5", "large-q", "root-jump",
+                                 "far-reach"]))
+    if name == "large-q":
+        q = 2**70 + 1
+        kernel = doubling_kernel(F(draw(st.integers(1, q - 1)), q))
+    elif "/" in name:
+        kernel = doubling_kernel(F(name))
+    else:
+        kernel = _SHADOW_KERNELS[name]
+    window_level = draw(st.integers(0, 4))
+    n_max = window_level + draw(st.integers(4, 9))
+    top = 2**window_level
+    # d-adic points at the window level, or interior points of odd denominator
+    xi = draw(st.one_of(st.integers(0, top - 1).map(lambda j: F(j, top)),
+                        st.tuples(st.integers(1, 60), st.sampled_from([3, 5, 7, 9, 13, 61]))
+                        .map(lambda pq: F(pq[0] % pq[1], pq[1]))))
+    # the rays martin_traces follows, and one whose anchor is a window column
+    dyadic = (xi * top).denominator == 1
+    offsets = (-2, -1, 0, 1) if dyadic else (0,)
+    offset = draw(st.sampled_from([-2, -1, 0, 1] if dyadic else [-1, 0, 1]))
+    return kernel, xi, window_level, n_max, offsets, offset
+
+
+@given(_martin_cases())
+@settings(max_examples=60, deadline=None)
+def test_batched_martin_windows_match_per_tile_hitting_vectors(case):
+    kernel, xi, window_level, n_max, offsets, offset = case
+    _assert_windows_match(lambda: martin_traces(kernel, xi, window_level, n_max),
+                          kernel, xi, window_level, n_max, offsets)
+    _assert_windows_match(lambda: [martin_trace(kernel, xi, window_level, n_max, offset)],
+                          kernel, xi, window_level, n_max, (offset,))
+
+
+@pytest.mark.parametrize("run,first", [
+    (lambda k: martin_traces(k, F(3, 4), 2, 6), "10110"),
+    (lambda k: martin_trace(k, F(3, 4), 2, 6, ray_offset=-1), "1011"),
+], ids=["four-rays", "one-ray"])
+def test_martin_ray_outside_the_root_shadow_raises(run, first):
+    # no tile with two consecutive 1s is reachable; at 3/4 the ray of offset
+    # -2 leaves the shadow at level 5 (10110), that of -1 already at level 4
+    # (1011): the error names the first unreachable tile ray by ray
+    with pytest.raises(ZeroDivisionError, match=f"^target {first} outside the shadow of the root$"):
+        run(_SHADOW_KERNELS["uneven"])
