@@ -120,7 +120,7 @@ class Scenario:
     kernel_family: str = "doubling_px"
     x: Fraction = Fraction(1, 4)
     table_path: str | None = None
-    base_level: int = 2
+    base_level: int | None = None        # checked against the built kernel's
     max_level: int = 8
     n_paths: int = 10_000
     n_steps: int = 30
@@ -258,11 +258,15 @@ class OutputWriter:
 
 def _build_kernel(scn: Scenario, graph=None, depth_limit: int = 64):
     if scn.kernel_family == "doubling_px":
-        return doubling_kernel(scn.x, graph, depth_limit)
-    with open(scn.table_path) as fh:
-        spec = load_table_spec(fh)
-    realization = CircleRealization(scn.degree)
-    return extend_by_equivariance(spec, graph, realization, depth_limit)
+        kernel = doubling_kernel(scn.x, graph, depth_limit)
+    else:
+        with open(scn.table_path) as fh:
+            spec = load_table_spec(fh)
+        kernel = extend_by_equivariance(spec, graph, CircleRealization(scn.degree), depth_limit)
+    if scn.base_level is not None and scn.base_level != kernel.base_level:
+        raise ScenarioError([f"kernel.base_level: scenario gives {scn.base_level}, "
+                             f"the kernel has base level {kernel.base_level}"])
+    return kernel
 
 
 # -- commands ------------------------------------------------------------------
@@ -283,8 +287,6 @@ def _cmd_validate(scn: Scenario, out: OutputWriter, workers: int) -> int:
     report = validate_assumptions(kernel)
     rows = [
         ("row_sums", report.row_sums.ok, report.row_sums.witness),
-        ("bounded_range", report.bounded_range.ok,
-         f"minimal_R={report.minimal_radius}"),
         ("level_increase", report.level_increase.ok, report.level_increase.witness),
         ("coverage", report.coverage.ok, report.coverage.witness),
         ("equivariance", report.equivariance.ok,
@@ -439,14 +441,15 @@ def _cmd_checks(scn: Scenario, out: OutputWriter, workers: int) -> int:
     results.append(("assumptions", report.passed,
                     f"minimal_R={report.minimal_radius}"))
 
-    table = green_table(kernel, ROOT, 5)
+    # one forward DP serves both: it is exact on every level up to its stop
+    table = green_table(kernel, ROOT, 7)
+    shallow = {w: f for w, f in table.values.items() if w.level <= 5}
     brute = brute_force_hitting(kernel, ROOT, 5)
-    results.append(("green_dp_vs_enumeration", table.values == brute,
-                    f"{len(table.values)} targets"))
+    results.append(("green_dp_vs_enumeration", shallow == brute,
+                    f"{len(shallow)} targets"))
 
     rng = random.Random(scn.seed)
-    table8 = green_table(kernel, ROOT, 7)
-    pool = sorted(table8.support(7), key=lambda w: w.symbols)
+    pool = sorted(table.support(7), key=lambda w: w.symbols)
     # one hitting vector per drawn w serves the filter and the check
     vectors: dict[Word, dict[Word, Fraction]] = {}
     quadruples = []
@@ -477,7 +480,7 @@ def _cmd_checks(scn: Scenario, out: OutputWriter, workers: int) -> int:
     shadow_ok = True
     c1 = Fraction(scn.degree ** kernel.radius * scn.degree, scn.degree - 1)
     for n in range(0, 7):
-        for i in range(scn.degree**n if n else 1):
+        for i in range(scn.degree**n):
             u = Word.from_index(i, n, scn.degree)
             hull = shadow_hull(kernel, u, min(n + 5, graph.max_level + 4))
             ball = tile_of(realization, u).neighborhood(

@@ -34,19 +34,12 @@ from .kernels import (
 from .symbolic import ROOT, Word
 
 
-def _log_int(n: int) -> float:
-    try:
-        return math.log(n)
-    except OverflowError:
-        b = n.bit_length() - 64
-        return math.log(n >> b) + b * math.log(2)
-
-
 def frac_log(fr: Fraction) -> float:
-    """log of a positive rational, safe for huge numerators/denominators."""
+    """log of a positive rational, safe for huge numerators/denominators
+    (``math.log`` takes an int of any size)."""
     if fr <= 0:
         raise ValueError("log of non-positive rational")
-    return _log_int(fr.numerator) - _log_int(fr.denominator)
+    return math.log(fr.numerator) - math.log(fr.denominator)
 
 
 # -- path samples --------------------------------------------------------------
@@ -295,6 +288,7 @@ def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarra
     """Stream seeds of paths start..stop-1 and the first n_steps draws of
     ``random.Random(stream_seed).random()`` for each, as a matrix; every
     path's stream is seeded in one vectorised pass (``_mt_outputs``)."""
+    # vectorised: a random.Random per path took about 4x as long at 1e5 x 30 draws
     seeds = _stream_seeds(seed, start, stop)
     return seeds, _mt_random(seeds, n_steps).T
 
@@ -360,6 +354,7 @@ def _sample_chunk(rows: _StepRows, start: int, stop: int, n_steps: int,
             at += column[row] <= r
         row = rows.next_row[at]
         if levels is None:
+            # radius 1 keeps its own step: the general one costs 2-8% more CPU
             i = (d * i + rows.offsets[at]) % sizes[step + 1]
         else:
             n = n + rows.steps[at]
@@ -367,6 +362,12 @@ def _sample_chunk(rows: _StepRows, start: int, stop: int, n_steps: int,
             levels[step] = n
         indices[step] = i
     return seeds, indices.T, None if levels is None else levels.T
+
+
+# fewest paths for which a process pool beats one process on wall time: the
+# crossover measured at x = 3/5, 30 steps, 2 workers on 2 vCPUs; the pool
+# costs more CPU at every size
+POOL_MIN_PATHS = 25_000
 
 
 def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
@@ -386,10 +387,11 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
             f"{n_steps} steps of radius {kernel.radius} exceed depth limit "
             f"{kernel.depth_limit}")
     rows = _step_rows(kernel)
-    if workers <= 1 or n_paths < 512:
+    if workers <= 1 or n_paths < POOL_MIN_PATHS:
         chunks = [_sample_chunk(rows, 0, n_paths, n_steps, seed)]
     else:
-        # imported here: only a pooled run pays for loading it
+        # processes, not threads: a thread pool lost wall time and RSS at 1e5 paths.
+        # Imported here: only a pooled run pays for loading it
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = (n_paths + workers - 1) // workers
@@ -460,8 +462,8 @@ def green_drift_estimate(kernel: Kernel, samples: PathSamples,
         if 0 in nums:
             w = Word.from_index(int(finals[nums.index(0)]), level, samples.degree)
             raise UnreachableSampleError(f"sampled path has F(o, Z_n) = 0 at {w}")
-        log_q = level * _log_int(q)
-        gs[rows] = [(log_q - _log_int(num)) / n for num in nums]
+        log_q = level * math.log(q)
+        gs[rows] = [(log_q - math.log(num)) / n for num in nums]
         if values is not None:
             for row, num in zip(rows.tolist(), nums):
                 values[row] = Fraction(num, q**level)
@@ -520,24 +522,25 @@ class EmpiricalMeasure:
         return int(np.count_nonzero(self.masses)) <= 1
 
 
-def empirical_harmonic_measure(samples: PathSamples, bin_level: int,
-                               margin: int = 10) -> EmpiricalMeasure:
+# levels by which the sampled depth must exceed the bin level
+DEPTH_MARGIN = 10
+
+
+def empirical_harmonic_measure(samples: PathSamples, bin_level: int) -> EmpiricalMeasure:
     """Bin the final-tile midpoints at the d-adic resolution ``bin_level``.
 
-    Requires the sampled depth to exceed the bin level by ``margin`` >= 0 so
-    the bin assignment is insensitive to the midpoint proxy (tile diameters
-    shrink like d**-n).
+    Requires the sampled depth to exceed the bin level by ``DEPTH_MARGIN``
+    so the bin assignment is insensitive to the midpoint proxy (tile
+    diameters shrink like d**-n).
     """
     if not len(samples):
         raise ValueError("no samples")
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
     d = samples.degree
     n_bins = d**bin_level
-    shallow = samples.final_levels < bin_level + margin
+    shallow = samples.final_levels < bin_level + DEPTH_MARGIN
     if shallow.any():
         raise InsufficientDepthError(
-            f"need n_steps >= bin_level + {margin}, got depth "
+            f"need n_steps >= bin_level + {DEPTH_MARGIN}, got depth "
             f"{samples.final_levels[np.argmax(shallow)]}")
     bins = np.empty(len(samples), dtype=np.int64)
     for rows, idx, n in samples.by_final_level():
@@ -693,12 +696,6 @@ def _evolve(kernel: Kernel, dist: dict[Word, Fraction]) -> dict[Word, Fraction]:
     return nxt
 
 
-def _shift_power(w: Word, t: int) -> Word:
-    if t >= w.level:
-        return ROOT
-    return Word(w.symbols[t:])
-
-
 def _lifted_chain_mass(kernel: Kernel, z: Word, vs: tuple[Word, ...]) -> Fraction:
     """Sum over continuations w_1..w_m from z with shift^|z| w_i = v_i of the
     product of transition probabilities."""
@@ -706,7 +703,7 @@ def _lifted_chain_mass(kernel: Kernel, z: Word, vs: tuple[Word, ...]) -> Fractio
     cur = {z: Fraction(1)}
     for v in vs:
         cur = {w: pw for w, pw in _evolve(kernel, cur).items()
-               if w.level == t + v.level and _shift_power(w, t) == v}
+               if w.level == t + v.level and Word(w.symbols[t:]) == v}
         if not cur:
             return Fraction(0)
     return sum(cur.values(), Fraction(0))
@@ -738,14 +735,16 @@ def cylinder_invariance_check(kernel: Kernel, max_m: int, max_k: int) -> Cylinde
     raised.
     """
     cylinders = _support_cylinders(kernel, max_m)
+    # P([v_0..v_m]): the product of the cylinder's transition weights
+    weight = {cyl: math.prod((kernel.weight(u, v) for u, v in zip(cyl, cyl[1:])),
+                             start=Fraction(1))
+              for cyl in cylinders}
     dists = [{ROOT: Fraction(1)}]
     for _ in range(max_k):
         dists.append(_evolve(kernel, dists[-1]))
     rows: list[CylinderRow] = []
     for cyl in cylinders:
-        rhs = Fraction(1)
-        for u, v in zip(cyl, cyl[1:]):
-            rhs *= kernel.weight(u, v)
+        rhs = weight[cyl]
         for k in range(0, max_k + 1):
             if k == 0:
                 lhs = rhs
@@ -758,23 +757,16 @@ def cylinder_invariance_check(kernel: Kernel, max_m: int, max_k: int) -> Cylinde
     short = [c for c in cylinders if len(c) - 1 <= max(1, max_m - 1)]
     for first in short:
         m_first = len(first) - 1
-        p_first = Fraction(1)
-        for u, v in zip(first, first[1:]):
-            p_first *= kernel.weight(u, v)
+        # the walk's mass on the first cylinder's endpoints, step m_first .. max_k
+        laws = [{first[-1]: weight[first]}]
+        for _ in range(m_first + 1, max_k + 1):
+            laws.append(_evolve(kernel, laws[-1]))
         for second in short:
-            p_second = Fraction(1)
-            for u, v in zip(second, second[1:]):
-                p_second *= kernel.weight(u, v)
-            for k in range(m_first + 1, max_k + 1):
-                # evolve the first cylinder's endpoint distribution to step k
-                cur = {first[-1]: p_first}
-                for _ in range(k - m_first):
-                    cur = _evolve(kernel, cur)
+            rhs = weight[first] * weight[second]
+            for k, law in enumerate(laws[1:], m_first + 1):
                 lhs = sum((pz * _lifted_chain_mass(kernel, z, second[1:])
-                           for z, pz in cur.items()), Fraction(0))
-                mixing_rows.append(MixingRow(first, second, k, lhs,
-                                             p_first * p_second,
-                                             lhs == p_first * p_second))
+                           for z, pz in law.items()), Fraction(0))
+                mixing_rows.append(MixingRow(first, second, k, lhs, rhs, lhs == rhs))
     return CylinderInvarianceReport(rows, mixing_rows)
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .kernels import Kernel, LevelOverflowError, index_dtype, value_dtype
+from .kernels import Kernel, LevelOverflowError, doubling_weights, index_dtype, value_dtype
 from .symbolic import ROOT, TileInterval, Word
 
 
@@ -290,12 +290,10 @@ def _neighbors(kernel: Kernel, u: Word, max_level: int) -> tuple[Cells, set[Word
     neighbors: set[Word] = set()
     for level in range(lowest, top + 1):
         size = d**level
-        if level == 0:
-            candidates = {0}
-        elif size <= 2 * span + 1:
+        if size <= 2 * span + 1:
             candidates = set(range(size))
         else:
-            center = u.index(d) * size // d**u.level if u.level else 0
+            center = u.index(d) * size // d**u.level
             candidates = {i % size for i in range(center - span, center + span + 1)}
         met = candidates & meeting.get(level, set())
         neighbors.update(Word.from_index(i, level, d) for i in met)
@@ -442,18 +440,24 @@ def check_multiplicative(kernel: Kernel, v: Word, s: Word, u: Word,
 
 # -- Martin traces ------------------------------------------------------------
 
+# sup-norm change of the normalized window vectors under which a trace
+# counts as converged
+CONVERGENCE_TOLERANCE = 1e-9
+
 
 @dataclass
 class MartinTrace:
     """Martin-kernel window vectors along a ray of tiles converging to a
     boundary point.
 
-    ``vectors[k][w]`` is the exact rational K(w, ray[k]).  ``limit`` holds
-    the Aitken-extrapolated limit of the vectors normalized by the ray's own
-    column at the window level (exact for two-term geometric tails, which is
-    the generic structure here); ``growth`` is the extrapolated ratio
-    K(c_{w+1}, v_n) / K(c_w, v_n) between consecutive window levels of the
-    ray column.
+    ``vectors[k][w]`` is the exact rational K(w, ray[k]).  ``converged``
+    says whether the last two vectors, each normalized by its max entry,
+    differ by less than ``CONVERGENCE_TOLERANCE`` in sup norm.  ``limit``
+    holds the Aitken-extrapolated limit of the vectors normalized by the
+    ray's own column at the window level (exact for two-term geometric
+    tails, which is the generic structure here); ``growth`` is the
+    extrapolated ratio K(c_{w+1}, v_n) / K(c_w, v_n) between consecutive
+    window levels of the ray column.
     """
 
     target_point: Fraction
@@ -463,26 +467,16 @@ class MartinTrace:
     vectors: list[dict[Word, Fraction]]
     window_level: int
     converged: bool
-    tolerance: float
     limit: dict[Word, Fraction] | None
     limit_anchor: Word | None
     growth: Fraction | None
     final_sup_difference: float
 
-    def normalized(self, k: int) -> dict[Word, float]:
-        vec = self.vectors[k]
-        top = max(vec.values(), default=Fraction(0))
-        if top == 0:
-            return {w: 0.0 for w in vec}
-        return {w: float(val / top) for w, val in vec.items()}
-
 
 def _aitken_limit(seq: Sequence[Fraction]) -> Fraction:
-    """Aitken delta-squared extrapolation of the last three terms; exact for
+    """Aitken delta-squared extrapolation of three terms; exact for
     sequences of the form A + B q^n."""
-    if len(seq) < 3:
-        return seq[-1]
-    r0, r1, r2 = seq[-3], seq[-2], seq[-1]
+    r0, r1, r2 = seq
     denom = r2 - 2 * r1 + r0
     if denom == 0:
         return r2
@@ -501,30 +495,31 @@ def ray_word(xi: Fraction, level: int, offset: int, degree: int = 2) -> Word:
 
 
 def martin_trace(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
-                 ray_offset: int = 0, tolerance: float = 1e-9) -> MartinTrace:
+                 ray_offset: int = 0) -> MartinTrace:
     """Trace the Martin kernel along the ray of ``ray_offset``-shifted tiles
     containing (or adjacent to) xi, from the window level down to n_max.
 
     The window consists of the tile columns through xi at ``window_level``
-    and ``window_level + 1`` plus the root (whose kernel value is 1 by
-    definition, a useful sanity row).
+    and ``window_level + 1``, offsets -1, 0, 1 (and -2 at a d-adic xi), plus
+    the root (whose kernel value is 1 by definition, a useful sanity row);
+    the ray offset must be one of those columns.
     """
-    return _martin_traces(kernel, Fraction(xi), window_level, n_max, (ray_offset,), tolerance)[0]
+    return _martin_traces(kernel, Fraction(xi), window_level, n_max, (ray_offset,))[0]
 
 
-def martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
-                  tolerance: float = 1e-9) -> list[MartinTrace]:
+def martin_traces(kernel: Kernel, xi: Fraction, window_level: int,
+                  n_max: int) -> list[MartinTrace]:
     """Traces along every relevant one-sided ray: the four columns around a
     d-adic point, or the containing column for an interior point."""
     xi = Fraction(xi)
     d = kernel.realization.degree
     dyadic = (xi * Fraction(d) ** window_level).denominator == 1
     offsets = (-2, -1, 0, 1) if dyadic else (0,)
-    return _martin_traces(kernel, xi, window_level, n_max, offsets, tolerance)
+    return _martin_traces(kernel, xi, window_level, n_max, offsets)
 
 
 def _martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
-                   ray_offsets: Sequence[int], tolerance: float) -> list[MartinTrace]:
+                   ray_offsets: Sequence[int]) -> list[MartinTrace]:
     """``martin_trace`` for each of ``ray_offsets``: one backward DP per ray
     level from the tiles of every ray at once, whose bands are folded mod
     d^l at the window tiles' indices only."""
@@ -535,6 +530,10 @@ def _martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
         raise ValueError("n_max too shallow: need at least window_level + 4")
     dyadic = (xi * d**window_level).denominator == 1
     offsets = (-2, -1, 0, 1) if dyadic else (-1, 0, 1)
+    for off in ray_offsets:
+        if off not in offsets:
+            raise ValueError(f"ray_offset {off} is no window column at xi = {xi}: "
+                             f"allowed offsets are {', '.join(map(str, offsets))}")
     window: list[Word] = [ROOT]
     for wl in (window_level, window_level + 1):
         for off in offsets:
@@ -569,25 +568,23 @@ def _martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
                 raise ZeroDivisionError(f"target {v} outside the shadow of the root")
             # K(w, v) = F(w, v) / F(o, v)
             vectors.append({w: Fraction(num[w] * q**w.level, num[ROOT]) for w in window})
-        traces.append(_trace(xi, window_level, off, ray, window, vectors, tolerance, d))
+        traces.append(_trace(xi, window_level, off, ray, window, vectors, d))
     return traces
 
 
 def _trace(xi: Fraction, window_level: int, ray_offset: int, ray: list[Word],
-           window: list[Word], vectors: list[dict[Word, Fraction]], tolerance: float,
-           d: int) -> MartinTrace:
+           window: list[Word], vectors: list[dict[Word, Fraction]], d: int) -> MartinTrace:
     """The trace of one ray from its window vectors: convergence, Aitken
     limit and growth."""
     # convergence flag on vectors normalized by their max entry
     sup_diff = math.inf
     if len(vectors) >= 2:
-        last = {w: v for w, v in vectors[-1].items()}
-        prev = {w: v for w, v in vectors[-2].items()}
+        last, prev = vectors[-1], vectors[-2]
         m_last = max(last.values())
         m_prev = max(prev.values())
         sup_diff = max(abs(float(last[w] / m_last) - float(prev[w] / m_prev))
                        for w in window)
-    converged = sup_diff < tolerance
+    converged = sup_diff < CONVERGENCE_TOLERANCE
 
     # Extrapolated limit of the vectors normalized by an anchor column.
     # The ray's own column is tried first: when it carries the dominant
@@ -627,7 +624,6 @@ def _trace(xi: Fraction, window_level: int, ray_offset: int, ray: list[Word],
         vectors=vectors,
         window_level=window_level,
         converged=converged,
-        tolerance=tolerance,
         limit=limit,
         limit_anchor=limit_anchor,
         growth=growth,
@@ -664,9 +660,8 @@ class RatioMap:
 
 
 def ratio_maps(x: Fraction) -> list[RatioMap]:
-    """The maps F_0..F_3 in terms of z = x/y, y = (1-x)/3."""
-    x = Fraction(x)
-    y = (1 - x) / 3
+    """The maps F_0..F_3 in terms of z = x/y, (x, y) = ``doubling_weights(x)``."""
+    x, y = doubling_weights(x)
     z = x / y
     one = Fraction(1)
     return [
@@ -686,8 +681,8 @@ def contraction_bound(x: Fraction) -> Fraction:
     t = 0 when z > 1); ``derivative_supremum`` reports the exact value.
     Both stay below 1 exactly when x < 2/5.
     """
-    x = Fraction(x)
-    z = x / ((1 - x) / 3)
+    x, y = doubling_weights(x)
+    z = x / y
     return max(
         Fraction(1, 2),
         max((z + 1) / 4, 1 / (1 + z)),
@@ -698,13 +693,13 @@ def contraction_bound(x: Fraction) -> Fraction:
 
 def derivative_supremum(x: Fraction) -> Fraction:
     """Exact max over j of sup on [0,1] of F_j'."""
-    return max(m.derivative_sup() for m in ratio_maps(Fraction(x)))
+    return max(m.derivative_sup() for m in ratio_maps(x))
 
 
 def iterate_interval(x: Fraction, labels: Iterable[int]) -> Fraction:
     """Exact length of F_{j1} o ... o F_{jn}([0,1]); the maps are increasing
     so images are tracked by their endpoints."""
-    maps = ratio_maps(Fraction(x))
+    maps = ratio_maps(x)
     lo, hi = Fraction(0), Fraction(1)
     for j in labels:
         lo, hi = maps[j](lo), maps[j](hi)
@@ -743,10 +738,7 @@ class ClassificationInvariantError(ValueError):
 def classify_doubling_boundary(x: Fraction) -> BoundaryClassification:
     """Classify via the threshold x = 2/5 (x vs 2y), with the supporting
     spectral and contraction data computed exactly."""
-    x = Fraction(x)
-    if not 0 < x < 1:
-        raise ValueError("x must lie in (0,1)")
-    y = (1 - x) / 3
+    x, y = doubling_weights(x)
     if x > 2 * y:
         verdict = "non_injective"
     elif x < 2 * y:

@@ -139,20 +139,10 @@ def graph_distance(graph: TileGraph, u: Word, v: Word) -> int:
     """BFS shortest-path length in the truncated graph."""
     if u not in graph or v not in graph:
         raise TruncationError("both endpoints must lie in the truncated graph")
-    if u == v:
-        return 0
-    seen = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        dw = seen[w]
-        for nb in graph.neighbors(w):
-            if nb not in seen:
-                if nb == v:
-                    return dw + 1
-                seen[nb] = dw + 1
-                queue.append(nb)
-    raise TruncationError(f"{u} and {v} are disconnected under truncation")
+    try:
+        return bfs_distances(graph, u)[v]
+    except KeyError:
+        raise TruncationError(f"{u} and {v} are disconnected under truncation") from None
 
 
 def bfs_distances(graph: TileGraph, source: Word) -> dict[Word, int]:
@@ -385,7 +375,7 @@ def quasi_roundness_constant(realization: CircleRealization, u: Word) -> Fractio
     t = tile_of(realization, u)
     half = t.width / 2
     scale = Fraction(realization.degree) ** (-u.level)
-    # inner radius half, outer radius half: C0 = max(scale/half, half... )
+    # A_u is the ball B(mid, half): C0^-1 scale <= half <= C0 scale
     return max(scale / half, half / scale)
 
 

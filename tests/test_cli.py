@@ -153,6 +153,113 @@ def test_demo_doubling_body(tmp_path, x, rows):
     assert _body(tmp_path / "demo.tsv") == [f"x\t{x}", "verdict\tnon_injective"] + rows
 
 
+REFERENCE = SUPERCRITICAL.parent / "reference.scn"
+
+# exact bodies of reference.scn: (line count, sha256 of the lines joined by "\n")
+_REFERENCE_BODIES = {
+    "green": ("green_o.tsv", 511,
+              "938ac349a3614a0993aa58ad8f810902d4050031fcc67c55d78136aeb6e8ecd1"),
+    "classify": ("classify.tsv", 10,
+                 "622a4a08ca8e6b31bc43c2d54536e6dd2c75cd86633c8fb5db91d2f41da2bdbd"),
+    "build": ("graph_edges.tsv", 1527,
+              "becf60d1be3544356de098222c0c07fd58fd32d3bed6830b4dabed1f3e6f9651"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REFERENCE_BODIES))
+def test_reference_scenario_exact_body(tmp_path, command):
+    name, n_lines, digest = _REFERENCE_BODIES[command]
+    assert run_command(command, parse_scenario(REFERENCE.read_text()), tmp_path) == EXIT_OK
+    body = _body(tmp_path / name)
+    assert len(body) == n_lines
+    assert _digest("\n".join(body)) == digest
+
+
+def test_validate_reference_scenario_body(tmp_path):
+    # no bounded_range row: locality holds by construction, minimal R is on stdout
+    assert run_command("validate", parse_scenario(REFERENCE.read_text()), tmp_path) == EXIT_OK
+    assert _body(tmp_path / "validate.tsv") == [
+        "row_sums\tok\t",
+        "level_increase\tok\t",
+        "coverage\tok\t",
+        "equivariance\tok\tfrom_level=2",
+    ]
+
+
+def test_hyperbolicity_reference_scenario_delta_rows(tmp_path):
+    # the comparability rows are float fits, left to the rerun tests
+    assert run_command("hyperbolicity", parse_scenario(REFERENCE.read_text()), tmp_path) == EXIT_OK
+    assert _body(tmp_path / "hyperbolicity.tsv")[:4] == [
+        "cutoff\tdelta\texhaustive\tn_triples\twitness",
+        "4\t1\tTrue\t29791\t001,110,0000,o",
+        "5\t1\tTrue\t250047\t001,110,0000,o",
+        "6\t1\tTrue\t2048383\t001,110,0000,o",
+    ]
+
+
+def test_simulate_reference_scenario_bodies(tmp_path):
+    assert run_command("simulate", parse_scenario(REFERENCE.read_text()), tmp_path) == EXIT_OK
+    for name, n_lines, digest in [
+            ("samples.tsv", 10001,
+             "dd7ba072b5c8530af700c5314b3c598f91e787b153a0b60e59aa9a5afdb6a609"),
+            ("measure.tsv", 257,
+             "c4adc5c5e751693652e47f41232c996a50779d510d0a40e46fc5e5b6a90c56da")]:
+        body = _body(tmp_path / name)
+        assert len(body) == n_lines, name
+        assert _digest("\n".join(body)) == digest, name
+
+
+def _table_scenario(tmp_path, extra=""):
+    """The x = 3/5 law as a base-level-2 table file and a scenario on it."""
+    from tilewalk.kernels import doubling_table_spec, save_table_spec
+
+    table = tmp_path / "table.tsv"
+    with table.open("w") as fh:
+        save_table_spec(doubling_table_spec(F(3, 5)), fh)
+    return parse_scenario(f"system.degree = 2\nkernel.table = {table}\n"
+                          f'run.window_level = 3\nrun.trace_level = 25\n'
+                          f'run.targets = "1/2, 1/3"\n{extra}')
+
+
+def test_table_scenario_exact_bodies(tmp_path):
+    assert run_command("validate", _table_scenario(tmp_path), tmp_path / "v") == EXIT_OK
+    assert _body(tmp_path / "v" / "validate.tsv") == [
+        "row_sums\tok\t",
+        "level_increase\tok\t",
+        "coverage\tok\t",
+        "equivariance\tok\tfrom_level=2",
+        "note\t-\tlevel-1 vertices are not equivariant over the root "
+        "(root law unconstrained; exempted)",
+    ]
+    assert run_command("green", _table_scenario(tmp_path), tmp_path / "g") == EXIT_OK
+    body = _body(tmp_path / "g" / "green_o.tsv")
+    assert len(body) == 511
+    assert _digest("\n".join(body)) == \
+        "ff6594f1a9f62df1058eca45495b435304898b30b775b5978a6edf4500076957"
+    # the same martin.tsv body as the doubling kernel on supercritical.scn
+    assert run_command("martin", _table_scenario(tmp_path), tmp_path / "m") == EXIT_OK
+    body = _body(tmp_path / "m" / "martin.tsv")
+    assert len(body) == 904
+    assert _digest("\n".join(body)) == \
+        "35f94493c1d4fd1799e62ad6fef1d2048c24af98c1a1f344f5b6449e3e9414ef"
+
+
+@pytest.mark.parametrize("family", ["doubling_px", "table"])
+def test_scenario_base_level_must_match_the_kernel(tmp_path, capsys, family):
+    # doubling_px has base level 2, the table file says base_level = 2
+    given = {"doubling_px": 7, "table": 5}[family]
+    scenario = tmp_path / "s.scn"
+    if family == "doubling_px":
+        text = REFERENCE.read_text()
+    else:
+        text = _table_scenario(tmp_path).text
+    for level, expected in ((given, EXIT_VALIDATION), (2, EXIT_OK)):
+        scenario.write_text(text + f"kernel.base_level = {level}\n")
+        assert main(["green", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == expected
+    assert capsys.readouterr().err == (
+        f"error: kernel.base_level: scenario gives {given}, the kernel has base level 2\n")
+
+
 def test_martin_runs_one_backward_dp_per_ray_level(tmp_path, monkeypatch):
     import tilewalk.green_martin as green_martin
 

@@ -13,6 +13,7 @@ from tilewalk.kernels import (
     extend_by_equivariance,
 )
 from tilewalk.green_martin import green_table
+from tilewalk import ergodics
 from tilewalk.ergodics import (
     EmpiricalMeasure,
     InsufficientDepthError,
@@ -53,6 +54,34 @@ def test_sampling_worker_invariance():
     seq = sample_paths(k, 600, 8, seed=4, workers=1)
     par = sample_paths(k, 600, 8, seed=4, workers=3)
     assert [s.indices for s in seq] == [s.indices for s in par]
+
+
+@pytest.mark.parametrize("kernel", [
+    doubling_kernel(F(3, 5)),
+    extend_by_equivariance(TableSpec(1, (
+        (ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2)),
+        (parse_word("0"), Word.from_index(0, 2, 2), F(1, 2)),
+        (parse_word("0"), Word.from_index(5, 3, 2), F(1, 2)),
+        (parse_word("1"), Word.from_index(2, 2, 2), F(1, 2)),
+        (parse_word("1"), Word.from_index(1, 3, 2), F(1, 2)))),
+        realization=CircleRealization(2)),
+], ids=["radius-1", "radius-2"])
+def test_pooled_sampling_matches_one_process(kernel, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kw: pools.append(kw) or pool_class(**kw))
+    # each of the two workers seeds more than one chunk of streams
+    n_paths = ergodics.POOL_MIN_PATHS
+    assert n_paths // 2 > ergodics._SEED_CHUNK
+    one = sample_paths(kernel, n_paths, 2, seed=7, workers=1)
+    assert pools == []
+    pooled = sample_paths(kernel, n_paths, 2, seed=7, workers=2)
+    assert pools == [{"max_workers": 2}]
+    for name in ("path_index", "stream_seed", "indices", "levels"):
+        assert np.array_equal(getattr(one, name), getattr(pooled, name)), name
 
 
 def test_sampling_depth_guard():

@@ -210,6 +210,17 @@ def test_martin_trace_general_x():
     assert r[0] < 1e-4 and abs(r[1] - r[2]) < 1e-6
 
 
+@pytest.mark.parametrize("xi,offset,allowed", [
+    (F(1, 3), -2, "-1, 0, 1"),
+    (F(1, 3), 2, "-1, 0, 1"),
+    (F(1, 2), 2, "-2, -1, 0, 1"),
+], ids=["interior-2", "interior+2", "dyadic+2"])
+def test_martin_trace_ray_offset_outside_the_window(xi, offset, allowed):
+    # the ray's tiles at the window levels must be window columns
+    with pytest.raises(ValueError, match=f"allowed offsets are {allowed}$"):
+        martin_trace(doubling_kernel(F(1, 4)), xi, 1, 5, ray_offset=offset)
+
+
 def test_trace_root_row_and_support():
     k = doubling_kernel(F(2, 5))
     xi = F(1, 3)

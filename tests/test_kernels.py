@@ -14,6 +14,7 @@ from tilewalk.kernels import (
     TableSpec,
     doubling_kernel,
     doubling_table_spec,
+    doubling_weights,
     extend_by_equivariance,
     load_table_spec,
     save_table_spec,
@@ -24,6 +25,17 @@ from tilewalk.kernels import (
 @pytest.fixture(scope="module")
 def graph6():
     return build_graph(CircleRealization(2), 6)
+
+
+def test_doubling_weights():
+    assert doubling_weights(F(3, 5)) == (F(3, 5), F(2, 15))
+    assert doubling_weights(F(1, 4)) == (F(1, 4), F(1, 4))
+    for x in (F(0), F(1), F(7, 5)):
+        with pytest.raises(KernelError, match="x must lie in"):
+            doubling_weights(x)
+    # the table's non-root rows carry exactly these two weights
+    x, y = doubling_weights(F(2, 5))
+    assert {p for u, _, p in doubling_table_spec(F(2, 5)).entries if not u.is_root()} == {x, y}
 
 
 def test_root_row_example():
