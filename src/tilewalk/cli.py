@@ -106,6 +106,8 @@ _MULT_MAX_ATTEMPTS = 20 * _MULT_TARGET
 
 _CAPS = {"run.n_paths": 10_000_000, "run.n_steps": 64, "run.max_level": 24,
          "run.bin_level": 20, "run.trace_level": 64}
+_FLOORS = {"run.n_paths": 1, "run.n_steps": 1, "run.max_level": 0,
+           "run.bin_level": 0, "run.window_level": 0, "run.trace_level": 0}
 
 
 class ScenarioError(ValueError):
@@ -207,6 +209,9 @@ def parse_scenario(document: str) -> Scenario:
     for key, cap in _CAPS.items():
         if getattr(scn, _KEYS[key][0]) > cap:
             problems.append(f"{key}: exceeds cap {cap}")
+    for key, floor in _FLOORS.items():
+        if getattr(scn, _KEYS[key][0]) < floor:
+            problems.append(f"{key}: must be >= {floor}")
     for xg in scn.x_grid:
         if not 0 < xg < 1:
             problems.append(f"run.x_grid: {xg} outside (0,1)")

@@ -27,6 +27,7 @@ from .green_martin import green_table, hitting_vector, root_numerators
 from .kernels import (
     Kernel,
     LevelOverflowError,
+    RowTable,
     index_dtype,
     positive_law,
     shift_pushforward,
@@ -293,72 +294,37 @@ def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarra
     return seeds, _mt_random(seeds, n_steps).T
 
 
-@dataclass(frozen=True)
-class _StepRows:
-    """The positive entries of a kernel's compiled rows as arrays, which
-    pool workers receive.  Entry col of row k sits at k * width + col of
-    ``steps``, ``offsets`` and ``next_row`` (the child's row);
-    ``thresholds[col, k]`` is the running float sum of row k up to entry
-    col, inf padding short rows."""
-
-    degree: int
-    radius: int
-    width: int
-    thresholds: np.ndarray
-    steps: np.ndarray
-    offsets: np.ndarray
-    next_row: np.ndarray
-
-
-def _step_rows(kernel: Kernel) -> _StepRows:
-    d = kernel.realization.degree
-    # the positive entries: the radius bounds their steps only
-    positive = [[e for e in row if e[2] > 0] for row in kernel.rows]
-    width = max(len(row) for row in positive)
-    thresholds = np.full((width - 1, len(positive)), np.inf)
-    steps, offsets, next_row = (np.zeros((len(positive), width), dtype=np.int64)
-                                for _ in range(3))
-    for k, ((n, i), row) in enumerate(zip(kernel.row_tiles, positive)):
-        acc = 0.0
-        for col, (r, offset, p) in enumerate(row):
-            acc += float(p)
-            if col < len(row) - 1:
-                thresholds[col, k] = acc
-            steps[k, col], offsets[k, col] = r, offset
-            next_row[k, col] = kernel.row_id(n + r, d**r * i + offset)
-    return _StepRows(d, kernel.radius, width, thresholds, steps.ravel(),
-                     offsets.ravel(), next_row.ravel())
-
-
-def _sample_chunk(rows: _StepRows, start: int, stop: int, n_steps: int,
+def _sample_chunk(table: RowTable, start: int, stop: int, n_steps: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Stream seeds, indices and levels (None for radius 1: level s + 1
     after step s + 1) of paths start..stop-1, all stepping at once.  From
-    the level-n tile indexed i a step takes the first entry k of its row
-    whose running sum exceeds the draw (the last if none does) to the tile
-    indexed (d^r_k i + offset_k) mod d^(n + r_k) on level n + r_k.
+    the level-n tile indexed i a step takes the first entry c of its row k
+    whose threshold exceeds the draw to the tile indexed
+    (d^r i + offset) mod d^(n + r), r = ``table.steps[k, c]``.
     """
     seeds, uniforms = _uniforms(seed, start, stop, n_steps)
-    d = rows.degree
-    dtype = index_dtype(d, n_steps * rows.radius)
+    d, radius, width = table.degree, int(table.steps.max()), table.steps.shape[1]
+    steps, offsets, next_row = table.steps.ravel(), table.offsets.ravel(), table.next_row.ravel()
+    dtype = index_dtype(d, n_steps * radius)
     draws = np.ascontiguousarray(uniforms.T)        # one row per step
-    sizes = np.array([d**n for n in range(n_steps * rows.radius + 1)], dtype=dtype)
+    sizes = np.array([d**n for n in range(n_steps * radius + 1)], dtype=dtype)
     indices = np.empty(draws.shape, dtype=dtype)
-    levels = None if rows.radius == 1 else np.empty(draws.shape, dtype=np.int64)
+    levels = None if radius == 1 else np.empty(draws.shape, dtype=np.int64)
     i = np.zeros(stop - start, dtype=dtype)
     n = np.zeros(stop - start, dtype=np.int64)
     row = np.zeros(stop - start, dtype=np.int64)       # the root's
     for step, r in enumerate(draws):
-        at = row * rows.width
-        for column in rows.thresholds:
+        at = row * width
+        # the last column is inf throughout
+        for column in table.thresholds.T[:-1]:
             at += column[row] <= r
-        row = rows.next_row[at]
+        row = next_row[at]
         if levels is None:
             # radius 1 keeps its own step: the general one costs 2-8% more CPU
-            i = (d * i + rows.offsets[at]) % sizes[step + 1]
+            i = (d * i + offsets[at]) % sizes[step + 1]
         else:
-            n = n + rows.steps[at]
-            i = (d ** rows.steps[at] * i + rows.offsets[at]) % sizes[n]
+            n = n + steps[at]
+            i = (d ** steps[at] * i + offsets[at]) % sizes[n]
             levels[step] = n
         indices[step] = i
     return seeds, indices.T, None if levels is None else levels.T
@@ -386,9 +352,8 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
         raise LevelOverflowError(
             f"{n_steps} steps of radius {kernel.radius} exceed depth limit "
             f"{kernel.depth_limit}")
-    rows = _step_rows(kernel)
     if workers <= 1 or n_paths < POOL_MIN_PATHS:
-        chunks = [_sample_chunk(rows, 0, n_paths, n_steps, seed)]
+        chunks = [_sample_chunk(kernel.table, 0, n_paths, n_steps, seed)]
     else:
         # processes, not threads: a thread pool lost wall time and RSS at 1e5 paths.
         # Imported here: only a pooled run pays for loading it
@@ -396,7 +361,8 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
 
         chunk = (n_paths + workers - 1) // workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sample_chunk, rows, a, min(a + chunk, n_paths),
+            # the table, not the kernel: one with a level-12 graph pickles to 600 KB
+            futures = [pool.submit(_sample_chunk, kernel.table, a, min(a + chunk, n_paths),
                                    n_steps, seed)
                        for a in range(0, n_paths, chunk)]
             chunks = [f.result() for f in futures]
@@ -713,13 +679,9 @@ def _support_cylinders(kernel: Kernel, max_m: int) -> list[tuple[Word, ...]]:
     chains: list[tuple[Word, ...]] = []
     frontier: list[tuple[Word, ...]] = [(ROOT,)]
     for _ in range(max_m):
-        nxt = []
-        for chain in frontier:
-            for w, p in kernel.outgoing(chain[-1]):
-                if p:
-                    nxt.append(chain + (w,))
-        chains.extend(nxt)
-        frontier = nxt
+        frontier = [chain + (w,) for chain in frontier
+                    for w, p in kernel.outgoing(chain[-1]) if p]
+        chains.extend(frontier)
     return chains
 
 
@@ -745,12 +707,9 @@ def cylinder_invariance_check(kernel: Kernel, max_m: int, max_k: int) -> Cylinde
     rows: list[CylinderRow] = []
     for cyl in cylinders:
         rhs = weight[cyl]
-        for k in range(0, max_k + 1):
-            if k == 0:
-                lhs = rhs
-            else:
-                lhs = sum((pz * _lifted_chain_mass(kernel, z, cyl[1:])
-                           for z, pz in dists[k].items()), Fraction(0))
+        for k in range(max_k + 1):
+            lhs = sum((pz * _lifted_chain_mass(kernel, z, cyl[1:])
+                       for z, pz in dists[k].items()), Fraction(0))
             rows.append(CylinderRow(cyl, k, lhs, rhs, lhs == rhs))
 
     mixing_rows: list[MixingRow] = []

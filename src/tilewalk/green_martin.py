@@ -266,14 +266,13 @@ def _words(cells: Cells, degree: int) -> frozenset[Word]:
 
 
 def _neighbors(kernel: Kernel, u: Word, max_level: int) -> tuple[Cells, set[Word]]:
-    """The truncated shadow of u and the candidate tiles near u, in the
-    level band |u| +/- R, whose truncated shadows meet it.
+    """The truncated shadow of u and the tiles in the level band |u| +/- R
+    whose truncated shadows meet it.
 
     Every tile has a positive transition at most R levels down, so two
     shadows truncated at L that meet also meet on the levels (L - R, L].
-    The tiles whose shadows meet u's are therefore the support of the
-    backward DP from u's shadow on those levels, taken once for all
-    candidates.
+    The tiles whose shadows meet u's are therefore the support, in the
+    level band, of the backward DP from u's shadow on those levels.
     """
     radius, d = kernel.radius, kernel.realization.degree
     shadow = _shadow_cells(kernel, u, max_level)
@@ -285,19 +284,8 @@ def _neighbors(kernel: Kernel, u: Word, max_level: int) -> tuple[Cells, set[Word
                 if l <= top:
                     rows, cols = np.nonzero(band)
                     meeting.setdefault(l, set()).update(((lo[rows] + cols) % d**l).tolist())
-    # only tiles near u's tile can share its shadow
-    span = 3 * max(radius, 1) + int(kernel.reach) + 2
-    neighbors: set[Word] = set()
-    for level in range(lowest, top + 1):
-        size = d**level
-        if size <= 2 * span + 1:
-            candidates = set(range(size))
-        else:
-            center = u.index(d) * size // d**u.level
-            candidates = {i % size for i in range(center - span, center + span + 1)}
-        met = candidates & meeting.get(level, set())
-        neighbors.update(Word.from_index(i, level, d) for i in met)
-    return shadow, neighbors
+    # one Word per distinct tile: bands repeat tiles over lifts and targets
+    return shadow, {Word.from_index(i, l, d) for l, met in meeting.items() for i in met}
 
 
 @dataclass
@@ -511,18 +499,15 @@ def martin_traces(kernel: Kernel, xi: Fraction, window_level: int,
                   n_max: int) -> list[MartinTrace]:
     """Traces along every relevant one-sided ray: the four columns around a
     d-adic point, or the containing column for an interior point."""
-    xi = Fraction(xi)
-    d = kernel.realization.degree
-    dyadic = (xi * Fraction(d) ** window_level).denominator == 1
-    offsets = (-2, -1, 0, 1) if dyadic else (0,)
-    return _martin_traces(kernel, xi, window_level, n_max, offsets)
+    return _martin_traces(kernel, Fraction(xi), window_level, n_max, None)
 
 
 def _martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
-                   ray_offsets: Sequence[int]) -> list[MartinTrace]:
-    """``martin_trace`` for each of ``ray_offsets``: one backward DP per ray
-    level from the tiles of every ray at once, whose bands are folded mod
-    d^l at the window tiles' indices only."""
+                   ray_offsets: Sequence[int] | None) -> list[MartinTrace]:
+    """``martin_trace`` for each of ``ray_offsets`` (None: those of
+    ``martin_traces``): one backward DP per ray level from the tiles of every
+    ray at once, whose bands are folded mod d^l at the window tiles' indices
+    only."""
     d, q = kernel.realization.degree, kernel.scale
     if n_max > kernel.depth_limit:
         raise ValueError("n_max beyond kernel depth limit")
@@ -530,6 +515,8 @@ def _martin_traces(kernel: Kernel, xi: Fraction, window_level: int, n_max: int,
         raise ValueError("n_max too shallow: need at least window_level + 4")
     dyadic = (xi * d**window_level).denominator == 1
     offsets = (-2, -1, 0, 1) if dyadic else (-1, 0, 1)
+    if ray_offsets is None:
+        ray_offsets = offsets if dyadic else (0,)
     for off in ray_offsets:
         if off not in offsets:
             raise ValueError(f"ray_offset {off} is no window column at xi = {xi}: "
@@ -576,14 +563,11 @@ def _trace(xi: Fraction, window_level: int, ray_offset: int, ray: list[Word],
            window: list[Word], vectors: list[dict[Word, Fraction]], d: int) -> MartinTrace:
     """The trace of one ray from its window vectors: convergence, Aitken
     limit and growth."""
-    # convergence flag on vectors normalized by their max entry
-    sup_diff = math.inf
-    if len(vectors) >= 2:
-        last, prev = vectors[-1], vectors[-2]
-        m_last = max(last.values())
-        m_prev = max(prev.values())
-        sup_diff = max(abs(float(last[w] / m_last) - float(prev[w] / m_prev))
-                       for w in window)
+    # convergence flag on vectors normalized by their max entry; there are at
+    # least three vectors (``_martin_traces`` needs n_max >= window_level + 4)
+    last, prev = vectors[-1], vectors[-2]
+    m_last, m_prev = max(last.values()), max(prev.values())
+    sup_diff = max(abs(float(last[w] / m_last) - float(prev[w] / m_prev)) for w in window)
     converged = sup_diff < CONVERGENCE_TOLERANCE
 
     # Extrapolated limit of the vectors normalized by an anchor column.
@@ -597,21 +581,20 @@ def _trace(xi: Fraction, window_level: int, ray_offset: int, ray: list[Word],
                    key=lambda w: vectors[-1][w])
     limit: dict[Word, Fraction] | None = None
     limit_anchor: Word | None = None
-    if len(vectors) >= 3:
-        for candidate in (anchor, dominant):
-            if any(vec[candidate] == 0 for vec in vectors[-3:]):
-                continue
-            ratios = {w: [vec[w] / vec[candidate] for vec in vectors[-3:]]
-                      for w in window}
-            if all(abs(seq[2] - seq[1]) <= abs(seq[1] - seq[0])
-                   for seq in ratios.values()):
-                limit = {w: _aitken_limit(seq) for w, seq in ratios.items()}
-                limit_anchor = candidate
-                break
+    for candidate in (anchor, dominant):
+        if any(vec[candidate] == 0 for vec in vectors[-3:]):
+            continue
+        ratios = {w: [vec[w] / vec[candidate] for vec in vectors[-3:]]
+                  for w in window}
+        if all(abs(seq[2] - seq[1]) <= abs(seq[1] - seq[0])
+               for seq in ratios.values()):
+            limit = {w: _aitken_limit(seq) for w, seq in ratios.items()}
+            limit_anchor = candidate
+            break
 
     anchor_up = ray_word(xi, window_level + 1, ray_offset, d)
     growth: Fraction | None = None
-    if len(vectors) >= 3 and all(vec[anchor] != 0 for vec in vectors[-3:]):
+    if all(vec[anchor] != 0 for vec in vectors[-3:]):
         seq = [vec[anchor_up] / vec[anchor] for vec in vectors[-3:]]
         if abs(seq[2] - seq[1]) <= abs(seq[1] - seq[0]):
             growth = _aitken_limit(seq)

@@ -12,7 +12,9 @@ j - d^r i, probability).  Above the window one row serves every vertex of a
 suffix class i mod d^N0, so transitions at arbitrary depth cost a few
 integer operations, and path sampling and Green-function dynamic
 programming are not limited by the materialized graph truncation (the graph
-is needed only for metric validation).
+is needed only for metric validation).  Their positive transitions form one
+padded ``RowTable``: the sampler steps with it, the exact DPs with its
+per-level-step masked views (``step_tables``).
 """
 
 from __future__ import annotations
@@ -84,17 +86,22 @@ def value_dtype(bound: int):
     return np.int64 if bound <= np.iinfo(np.int64).max else object
 
 
-def _padded(groups: dict[int, list[int]], size: int,
-            dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
-    """Rows 0..size-1 of ``groups`` as a zero-padded table and the mask of
-    its real entries."""
-    width = max((len(g) for g in groups.values()), default=0)
-    table = np.zeros((size, width), dtype=dtype)
-    mask = np.zeros((size, width), dtype=bool)
-    for k, group in groups.items():
-        table[k, :len(group)] = group
-        mask[k, :len(group)] = True
-    return table, mask
+@dataclass(frozen=True)
+class RowTable:
+    """A kernel's positive transitions in row order, one padded line per
+    compiled row.  Entry c of row k steps its level-n tile indexed i by
+    r = ``steps[k, c]`` levels (0 pads) to the tile indexed
+    (d^r i + ``offsets[k, c]``) mod d^(n + r), of row ``next_row[k, c]``,
+    with weight ``weights[k, c]`` = p Q^r.  ``thresholds[k, c]``, the running
+    float sum of p, is what the sampler compares a uniform draw against: inf
+    on each row's last entry and on the padding, so every draw lands."""
+
+    degree: int
+    steps: np.ndarray
+    offsets: np.ndarray
+    next_row: np.ndarray
+    weights: np.ndarray
+    thresholds: np.ndarray
 
 
 def positive_law(row: Iterable[tuple[Word, Fraction]]) -> dict[Word, Fraction]:
@@ -134,6 +141,7 @@ class EquivariantTableKernel:
     (d^r i + offset) mod d^(n+r).  The window's rows come first, level by
     level, then one row per suffix class c = i mod d^N0 above the window;
     ``row_tiles[k]`` is a tile of row k, (N0 + 1, c) for a class row.
+    ``table`` holds the rows' positive transitions as arrays (``RowTable``).
     """
 
     def __init__(self, spec: TableSpec, graph: TileGraph | None = None,
@@ -172,18 +180,27 @@ class EquivariantTableKernel:
         self.rows = self._compile()
         # Q, the lcm of the row denominators: a step of r levels weighs p Q^r
         self.scale = math.lcm(*(p.denominator for row in self.rows for _, _, p in row))
-        # the positive transitions as padded tables per level step r, to step
-        # whole index arrays: offsets, mask and integer weights by row id
+        # the positive entries of the rows, compiled once into a RowTable
+        positive = [[e for e in row if e[2] > 0] for row in self.rows]
+        shape = (len(positive), max(len(row) for row in positive))
+        steps, offsets, next_row = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+        weights = np.zeros(shape, dtype=value_dtype(self.scale**self.radius))
+        thresholds = np.full(shape, np.inf)
+        for k, ((n, i), row) in enumerate(zip(self.row_tiles, positive)):
+            for c, (r, offset, p) in enumerate(row):
+                steps[k, c], offsets[k, c] = r, offset
+                next_row[k, c] = self.row_id(n + r, d**r * i + offset)
+                weights[k, c] = int(p * self.scale**r)
+            thresholds[k, :len(row) - 1] = np.cumsum([float(p) for _, _, p in row])[:-1]
+        self.table = RowTable(d, steps, offsets, next_row, weights, thresholds)
+        # what the forward and backward DPs step with: per level step r, the
+        # offsets and weights under the mask of the r-level entries
         self.step_tables = []
-        for step in range(1, self.radius + 1):
-            by_row = {k: [(offset, p * self.scale**step) for r, offset, p in row
-                          if r == step and p > 0]
-                      for k, row in enumerate(self.rows)}
-            offsets, mask = _padded({k: [o for o, _ in g] for k, g in by_row.items()},
-                                    len(self.rows))
-            weights, _ = _padded({k: [int(w) for _, w in g] for k, g in by_row.items()},
-                                 len(self.rows), value_dtype(self.scale**step))
-            self.step_tables.append((offsets, mask, weights))
+        for r in range(1, self.radius + 1):
+            mask, dtype = steps == r, value_dtype(self.scale**r)
+            # p Q^R may outgrow int64 where p Q^r does not
+            self.step_tables.append((offsets, mask, weights if weights.dtype == dtype
+                                     else np.where(mask, weights, 0).astype(dtype)))
         # backward-DP offset bounds and stencils, compiled on first use; finitely
         # many.  Kept: a direct gather per step table made root_numerators 4x slower
         self.band_tables: dict = {}

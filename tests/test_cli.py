@@ -67,6 +67,34 @@ def test_parse_caps():
         parse_scenario("run.n_paths = 999999999\n")
 
 
+@pytest.mark.parametrize("key,value,command", [
+    ("run.bin_level", -1, "simulate"),
+    ("run.window_level", -1, "martin"),
+    ("run.window_level", -2, "martin"),
+    ("run.max_level", -1, "green"),
+    ("run.trace_level", -1, "martin"),
+    ("run.n_paths", 0, "simulate"),
+    ("run.n_steps", 0, "dimension"),
+])
+def test_scenario_values_below_their_floor_exit_2(tmp_path, capsys, key, value, command):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(SMALL + f"{key} = {value}\n")
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == \
+        EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"scenario error: {key}: ")
+
+
+@pytest.mark.parametrize("key,value,command", [
+    ("run.window_level", 0, "martin"),
+    ("run.max_level", 0, "green"),
+])
+def test_scenario_values_at_their_floor_run(tmp_path, key, value, command):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(SMALL + f"{key} = {value}\n")
+    assert main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == EXIT_OK
+
+
 def test_table_scenario_row_sum_error(tmp_path):
     table = tmp_path / "kernel.tsv"
     table.write_text("base_level = 0\no 0 1/2\no 1 1/3\n")

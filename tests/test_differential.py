@@ -833,6 +833,36 @@ def test_integer_shadow_of_tiles_near_the_depth_limit(name):
         assert shadow_hull(k, u, 64) == arc_hull([tile_of(k.realization, v) for v in support])
 
 
+@pytest.mark.parametrize("name", list(_SHADOW_KERNELS))
+def test_row_table_matches_compiled_rows(name):
+    # the table the sampler and the DPs step with lists each row's positive
+    # entries in order, padded with step 0 and threshold inf
+    k = _SHADOW_KERNELS[name]
+    d, t = k.realization.degree, k.table
+    assert t.degree == d and t.steps.shape == t.thresholds.shape == (len(k.rows), t.steps.shape[1])
+    for row_id, ((n, i), row) in enumerate(zip(k.row_tiles, k.rows)):
+        positive = [(r, offset, p) for r, offset, p in row if p > 0]
+        width = len(positive)
+        assert t.steps[row_id, :width].tolist() == [r for r, _, _ in positive]
+        assert not t.steps[row_id, width:].any()
+        assert t.offsets[row_id, :width].tolist() == [o for _, o, _ in positive]
+        assert t.next_row[row_id, :width].tolist() == [
+            k.row_id(n + r, (d**r * i + o) % d ** (n + r)) for r, o, _ in positive]
+        assert t.weights[row_id, :width].tolist() == [p * k.scale**r for r, _, p in positive]
+        running, acc = [], 0.0
+        for _, _, p in positive:
+            acc += float(p)
+            running.append(acc)
+        assert t.thresholds[row_id].tolist() == running[:-1] + [math.inf] * (
+            t.steps.shape[1] - width + 1)
+    # the DPs' step tables are the table under one mask per level step
+    assert len(k.step_tables) == k.radius == t.steps.max()
+    for r, (offsets, mask, weights) in enumerate(k.step_tables, 1):
+        assert np.array_equal(mask, t.steps == r)
+        assert offsets[mask].tolist() == t.offsets[mask].tolist()
+        assert weights[mask].tolist() == t.weights[mask].tolist()
+
+
 @st.composite
 def _cell_sets(draw):
     d = draw(st.integers(2, 4))

@@ -56,32 +56,64 @@ def test_sampling_worker_invariance():
     assert [s.indices for s in seq] == [s.indices for s in par]
 
 
-@pytest.mark.parametrize("kernel", [
-    doubling_kernel(F(3, 5)),
-    extend_by_equivariance(TableSpec(1, (
-        (ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2)),
-        (parse_word("0"), Word.from_index(0, 2, 2), F(1, 2)),
-        (parse_word("0"), Word.from_index(5, 3, 2), F(1, 2)),
-        (parse_word("1"), Word.from_index(2, 2, 2), F(1, 2)),
-        (parse_word("1"), Word.from_index(1, 3, 2), F(1, 2)))),
-        realization=CircleRealization(2)),
-], ids=["radius-1", "radius-2"])
-def test_pooled_sampling_matches_one_process(kernel, monkeypatch):
+_RADIUS_2 = extend_by_equivariance(TableSpec(1, (
+    (ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2)),
+    (parse_word("0"), Word.from_index(0, 2, 2), F(1, 2)),
+    (parse_word("0"), Word.from_index(5, 3, 2), F(1, 2)),
+    (parse_word("1"), Word.from_index(2, 2, 2), F(1, 2)),
+    (parse_word("1"), Word.from_index(1, 3, 2), F(1, 2)))),
+    realization=CircleRealization(2))
+
+
+@pytest.mark.parametrize("kernel,workers,n_steps", [
+    pytest.param(doubling_kernel(F(3, 5)), 2, 2, id="radius-1"),
+    pytest.param(_RADIUS_2, 2, 2, id="radius-2"),
+    # three chunks of unequal size
+    pytest.param(_RADIUS_2, 3, 2, id="radius-2-three-workers"),
+    # indices past int64: Python integers cross the pool
+    pytest.param(doubling_kernel(F(1, 7)), 2, 64, id="x=1/7-64-steps"),
+])
+def test_pooled_sampling_matches_one_process(kernel, workers, n_steps, monkeypatch):
     import concurrent.futures
 
     pools = []
     pool_class = concurrent.futures.ProcessPoolExecutor
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda **kw: pools.append(kw) or pool_class(**kw))
-    # each of the two workers seeds more than one chunk of streams
+    # each worker seeds more than one chunk of streams
     n_paths = ergodics.POOL_MIN_PATHS
-    assert n_paths // 2 > ergodics._SEED_CHUNK
-    one = sample_paths(kernel, n_paths, 2, seed=7, workers=1)
+    assert n_paths // workers > ergodics._SEED_CHUNK
+    one = sample_paths(kernel, n_paths, n_steps, seed=7, workers=1)
     assert pools == []
-    pooled = sample_paths(kernel, n_paths, 2, seed=7, workers=2)
-    assert pools == [{"max_workers": 2}]
+    pooled = sample_paths(kernel, n_paths, n_steps, seed=7, workers=workers)
+    assert pools == [{"max_workers": workers}]
     for name in ("path_index", "stream_seed", "indices", "levels"):
         assert np.array_equal(getattr(one, name), getattr(pooled, name)), name
+
+
+def test_pool_workers_receive_the_row_table_not_the_kernel(monkeypatch):
+    import concurrent.futures
+    import pickle
+
+    from tilewalk.tile_graph import build_graph
+
+    payloads = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+    class RecordingPool(pool_class):
+        def submit(self, fn, *args):
+            payloads.append(pickle.dumps(args))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    kernel = doubling_kernel(F(3, 5), build_graph(CircleRealization(2), 8))
+    sample_paths(kernel, ergodics.POOL_MIN_PATHS, 2, seed=7, workers=2)
+    assert len(payloads) == 2
+    # the kernel pickles with its graph; the table is a few arrays
+    assert len(pickle.dumps(kernel)) > 20_000
+    for payload in payloads:
+        assert len(payload) < 5_000
+        assert not any(isinstance(a, type(kernel)) for a in pickle.loads(payload))
 
 
 def test_sampling_depth_guard():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilewalk.green_martin import green_table
+from tilewalk.green_martin import brute_force_hitting, green_table, hitting_vector
 from tilewalk.symbolic import ROOT, CircleRealization, Word, parse_word, shift
 from tilewalk.tile_graph import build_graph
 from tilewalk.kernels import (
@@ -226,6 +226,29 @@ def test_zero_entries_leave_radius_and_reach(base_level, source, target):
     assert len(padded.step_tables) == len(plain.step_tables)
     for ours, theirs in zip(padded.step_tables, plain.step_tables):
         assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+def test_step_tables_keep_int64_weights_where_they_fit():
+    # Q = 2^40, so p Q^2 needs Python integers and p Q lies in int64: the
+    # one-level step table stays int64 and a backward DP from level 1 or 2,
+    # whose bands are int64, still adds its steps in
+    big = 2**40
+    k = extend_by_equivariance(TableSpec(1, (
+        (ROOT, parse_word("0"), F(1, 2)), (ROOT, parse_word("1"), F(1, 2)),
+        (parse_word("0"), Word.from_index(0, 2, 2), F(1, big)),
+        (parse_word("0"), Word.from_index(1, 2, 2), F(1, 2) - F(1, big)),
+        (parse_word("0"), Word.from_index(5, 3, 2), F(1, 2)),
+        (parse_word("1"), Word.from_index(2, 2, 2), F(1, 2)),
+        (parse_word("1"), Word.from_index(1, 3, 2), F(1, 2)))),
+        realization=CircleRealization(2))
+    assert k.table.weights.dtype == object
+    assert [w.dtype for _, _, w in k.step_tables] == [np.int64, object]
+    for i, n in ((0, 1), (1, 2), (5, 3), (17, 6)):
+        target = Word.from_index(i, n, 2)
+        vector = hitting_vector(k, target)
+        assert ROOT in vector
+        for u, f in vector.items():
+            assert brute_force_hitting(k, u, n)[target] == f
 
 
 def test_lift_resolves_wraparound():
