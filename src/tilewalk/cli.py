@@ -364,16 +364,23 @@ def _cmd_classify(scn: Scenario, out: OutputWriter, workers: int) -> int:
     return EXIT_OK
 
 
+# samples.tsv rows formatted at once: the words and midpoints of a block
+# are Python strings and integers
+_TSV_BLOCK = 16_384
+
+
 def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
     kernel = _build_kernel(scn)
     samples = sample_paths(kernel, scn.n_paths, scn.n_steps, scn.seed, workers)
     with out.open("samples.tsv") as fh:
         fh.write("path\tstream_seed\tfinal_word\tmidpoint\n")
-        # a midpoint (2i+1)/(2 d^n), n >= 1, never reduces to an integer
-        nums, dens = samples.final_midpoint_arrays()
-        fh.writelines(f"{p}\t{s}\t{w}\t{num}/{den}\n" for p, s, w, num, den in zip(
-            samples.path_index.tolist(), samples.stream_seed.tolist(),
-            samples.final_words(), nums.tolist(), dens.tolist()))
+        for a in range(0, len(samples), _TSV_BLOCK):
+            rows = samples[a:a + _TSV_BLOCK]
+            # a midpoint (2i+1)/(2 d^n), n >= 1, never reduces to an integer
+            nums, dens = rows.final_midpoint_arrays()
+            fh.writelines(f"{p}\t{s}\t{w}\t{num}/{den}\n" for p, s, w, num, den in zip(
+                rows.path_index.tolist(), rows.stream_seed.tolist(),
+                rows.final_words(), nums.tolist(), dens.tolist()))
     measure = empirical_harmonic_measure(samples, scn.bin_level)
     with out.open("measure.tsv") as fh:
         fh.write("bin\tmass\n")
@@ -414,6 +421,8 @@ def _cmd_dimension(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 
 def _cmd_hyperbolicity(scn: Scenario, out: OutputWriter, workers: int) -> int:
+    if scn.max_level < 4:
+        raise ValueError(f"run.max_level: hyperbolicity needs >= 4, got {scn.max_level}")
     graph = build_graph(CircleRealization(scn.degree), scn.max_level)
     cutoffs = [c for c in (4, 5, 6) if c <= scn.max_level]
     with out.open("hyperbolicity.tsv") as fh:

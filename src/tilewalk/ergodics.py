@@ -15,6 +15,7 @@ arithmetic; logarithms and bin masses are the only floating-point outputs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from collections.abc import Sequence
@@ -194,8 +195,12 @@ def _stream_seeds(seed: int, start: int, stop: int) -> np.ndarray:
 
 # CPython's Mersenne Twister (MT19937): state size and twist offset
 _MT_N, _MT_M = 624, 397
-# paths seeded at once: a (624, 8192) uint32 state, 20 MB
-_SEED_CHUNK = 8192
+# streams seeded at once: a (624, 4096) uint32 state, 10 MB
+_SEED_CHUNK = 4096
+# paths stepped (and replayed) at once, a few seeding chunks so that each
+# step's numpy calls cover more paths: a (n_steps, 16384) float64 block of
+# draws, 3.9 MB at 30 steps
+_STEP_BLOCK = 4 * _SEED_CHUNK
 
 
 def _init_genrand(s: int) -> np.ndarray:
@@ -218,71 +223,81 @@ def _mt_mix(prev: np.ndarray, row: np.ndarray, tmp: np.ndarray, mult: np.uint32)
     row ^= tmp
 
 
-def _mt_outputs(stream_seeds: np.ndarray, n_words: int) -> np.ndarray:
-    """The first n_words 32-bit outputs of ``random.Random(s)`` for each
-    stream seed s < 2^64, one column per seed.
+def _mt_block(s: np.ndarray, n_words: int, mt: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The first n_words 32-bit outputs of ``random.Random(s)`` for each of
+    the stream seeds s < 2^64, one column per seed, seeding in the
+    (624, len(s)) uint32 state ``mt`` with the scratch row ``tmp``; both are
+    overwritten.
 
     ``random.Random(s)`` seeds by init_by_array over the little-endian 32-bit
     words of s: one key word when s < 2^32, two otherwise.  Its two loops
-    (624 and 623 steps) run here on a (624, chunk) uint32 state, one row per
-    step and the same ufuncs for every seed.  Step t of the first loop adds
-    key[j] + j, j = t mod (key length): key[0] at even t, and key[1] + 1 at
-    odd t (key[0] again for a one-word key).  The first twist makes word i
-    from the old words i, i + 1 and i + 397, so the first 227 outputs need
-    no word that twist has already replaced; only those are twisted and
-    tempered.  ``_SEED_CHUNK`` bounds the state.
+    (624 and 623 steps) run here on the state, one row per step and the
+    same ufuncs for every seed.  Step t of the first loop adds key[j] + j,
+    j = t mod (key length): key[0] at even t, and key[1] + 1 at odd t
+    (key[0] again for a one-word key).  The first twist makes word i from
+    the old words i, i + 1 and i + 397, so the first 227 outputs need no
+    word that twist has already replaced; only those are twisted and
+    tempered.
     """
     if n_words > _MT_N - _MT_M:
         raise ValueError(f"at most {_MT_N - _MT_M} outputs per seed, got {n_words}")
+    mt[:] = _MT_INIT[:, None]
+    rows = list(mt)
+    low = (s & 0xFFFFFFFF).astype(np.uint32)
+    high = (s >> 32).astype(np.uint32)
+    keys = (low, np.where(high > 0, high + np.uint32(1), low))
+    i = 1
+    for t in range(_MT_N):
+        _mt_mix(rows[i - 1], rows[i], tmp, np.uint32(1664525))
+        rows[i] += keys[t % 2]
+        i += 1
+        if i == _MT_N:
+            rows[0][:] = rows[-1]
+            i = 1
+    for _ in range(_MT_N - 1):
+        _mt_mix(rows[i - 1], rows[i], tmp, np.uint32(1566083941))
+        rows[i] -= np.uint32(i)
+        i += 1
+        if i == _MT_N:
+            rows[0][:] = rows[-1]
+            i = 1
+    rows[0][:] = 0x80000000
+    y = (mt[:n_words] & 0x80000000) | (mt[1:n_words + 1] & 0x7FFFFFFF)
+    y = mt[_MT_M:_MT_M + n_words] ^ (y >> 1) ^ ((y & 1) * np.uint32(0x9908B0DF))
+    y ^= y >> 11
+    y ^= (y << 7) & 0x9D2C5680
+    y ^= (y << 15) & 0xEFC60000
+    y ^= y >> 18
+    return y
+
+
+def _mt_outputs(stream_seeds: np.ndarray, n_words: int) -> np.ndarray:
+    """The first n_words 32-bit outputs of ``random.Random(s)`` for each
+    stream seed s < 2^64, one column per seed, by ``_mt_block`` on one state
+    of ``_SEED_CHUNK`` seeds at a time."""
     out = np.empty((n_words, len(stream_seeds)), dtype=np.uint32)
     state = np.empty((_MT_N, min(len(stream_seeds), _SEED_CHUNK)), dtype=np.uint32)
+    tmp = np.empty(state.shape[1], dtype=np.uint32)
     for a in range(0, len(stream_seeds), _SEED_CHUNK):
         s = stream_seeds[a:a + _SEED_CHUNK]
-        mt = state[:, :len(s)]
-        mt[:] = _MT_INIT[:, None]
-        rows = list(mt)
-        tmp = np.empty(len(s), dtype=np.uint32)
-        low = (s & 0xFFFFFFFF).astype(np.uint32)
-        high = (s >> 32).astype(np.uint32)
-        keys = (low, np.where(high > 0, high + np.uint32(1), low))
-        i = 1
-        for t in range(_MT_N):
-            _mt_mix(rows[i - 1], rows[i], tmp, np.uint32(1664525))
-            rows[i] += keys[t % 2]
-            i += 1
-            if i == _MT_N:
-                rows[0][:] = rows[-1]
-                i = 1
-        for _ in range(_MT_N - 1):
-            _mt_mix(rows[i - 1], rows[i], tmp, np.uint32(1566083941))
-            rows[i] -= np.uint32(i)
-            i += 1
-            if i == _MT_N:
-                rows[0][:] = rows[-1]
-                i = 1
-        rows[0][:] = 0x80000000
-        y = (mt[:n_words] & 0x80000000) | (mt[1:n_words + 1] & 0x7FFFFFFF)
-        y = mt[_MT_M:_MT_M + n_words] ^ (y >> 1) ^ ((y & 1) * np.uint32(0x9908B0DF))
-        y ^= y >> 11
-        y ^= (y << 7) & 0x9D2C5680
-        y ^= (y << 15) & 0xEFC60000
-        y ^= y >> 18
-        out[:, a:a + len(s)] = y
+        out[:, a:a + len(s)] = _mt_block(s, n_words, state[:, :len(s)], tmp[:len(s)])
+    return out
+
+
+def _draws(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``random()`` from pairs of consecutive 32-bit outputs a, b (rows 2t and
+    2t + 1 of ``words``) as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, written
+    into ``out``."""
+    np.multiply(words[0::2] >> 5, 67108864.0, out=out)
+    out += words[1::2] >> 6
+    out *= 1.0 / 9007199254740992.0
     return out
 
 
 def _mt_random(stream_seeds: np.ndarray, n_draws: int) -> np.ndarray:
     """The first n_draws of ``random.Random(s).random()`` for each stream
-    seed s, one column per seed.
-
-    ``random()`` builds each draw from two consecutive 32-bit outputs a, b
-    as ((a >> 5) * 2**26 + (b >> 6)) / 2**53.
-    """
-    words = _mt_outputs(stream_seeds, 2 * n_draws)
-    draws = (words[0::2] >> 5) * 67108864.0
-    draws += words[1::2] >> 6
-    draws *= 1.0 / 9007199254740992.0
-    return draws
+    seed s, one column per seed."""
+    return _draws(_mt_outputs(stream_seeds, 2 * n_draws), np.empty((n_draws, len(stream_seeds))))
 
 
 def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,39 +310,70 @@ def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarra
 
 
 def _sample_chunk(table: RowTable, start: int, stop: int, n_steps: int,
-                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Stream seeds, indices and levels (None for radius 1: level s + 1
-    after step s + 1) of paths start..stop-1, all stepping at once.  From
-    the level-n tile indexed i a step takes the first entry c of its row k
-    whose threshold exceeds the draw to the tile indexed
-    (d^r i + offset) mod d^(n + r), r = ``table.steps[k, c]``.
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stream seeds of paths start..stop-1 and their choice matrix:
+    ``choices[s, p]`` is the column of its row that path p's step s + 1
+    takes, the first entry whose threshold exceeds the draw, in the smallest
+    unsigned dtype that holds the table width.  ``_replay`` turns choices
+    into tiles.
+
+    The streams are seeded ``_SEED_CHUNK`` paths at a time into a block of
+    draws, and each block of ``_STEP_BLOCK`` paths steps through the table
+    at once; the state and the draws are buffers reused for every block, so
+    the scratch does not grow with the path count.
     """
-    seeds, uniforms = _uniforms(seed, start, stop, n_steps)
-    d, radius, width = table.degree, int(table.steps.max()), table.steps.shape[1]
+    m, width = stop - start, table.thresholds.shape[1]
+    seeds = _stream_seeds(seed, start, stop)
+    choices = np.empty((n_steps, m), dtype=np.min_scalar_type(width - 1))
+    draws = np.empty((n_steps, min(m, _STEP_BLOCK)))
+    state = np.empty((_MT_N, min(m, _SEED_CHUNK)), dtype=np.uint32)
+    tmp = np.empty(state.shape[1], dtype=np.uint32)
+    # the last column is inf throughout
+    thresholds, next_row = table.thresholds.T[:-1], table.next_row.ravel()
+    for a in range(0, m, _STEP_BLOCK):
+        b = min(a + _STEP_BLOCK, m)
+        for c in range(a, b, _SEED_CHUNK):
+            e = min(c + _SEED_CHUNK, b)
+            words = _mt_block(seeds[c:e], 2 * n_steps, state[:, :e - c], tmp[:e - c])
+            _draws(words, draws[:, c - a:e - a])
+        row = np.zeros(b - a, dtype=np.int64)       # the root's
+        for r, choice in zip(draws[:, :b - a], choices[:, a:b]):
+            choice[:] = 0
+            for column in thresholds:
+                choice += column[row] <= r
+            row = next_row[row * width + choice]
+    return seeds, choices
+
+
+def _replay(table: RowTable, choices: np.ndarray, indices: np.ndarray,
+            levels: np.ndarray | None):
+    """Step paths from the root by the columns of ``choices`` (one row per
+    step, as ``_sample_chunk`` returns them), writing the tile index after
+    step s + 1 to ``indices[s]`` and, unless ``levels`` is None (radius 1:
+    level s + 1), its level to ``levels[s]``.  From the level-n tile indexed
+    i, column c of its row k leads to the tile indexed
+    (d^r i + offset) mod d^(n + r), r = ``table.steps[k, c]``."""
+    d, width = table.degree, table.steps.shape[1]
     steps, offsets, next_row = table.steps.ravel(), table.offsets.ravel(), table.next_row.ravel()
-    dtype = index_dtype(d, n_steps * radius)
-    draws = np.ascontiguousarray(uniforms.T)        # one row per step
-    sizes = np.array([d**n for n in range(n_steps * radius + 1)], dtype=dtype)
-    indices = np.empty(draws.shape, dtype=dtype)
-    levels = None if radius == 1 else np.empty(draws.shape, dtype=np.int64)
-    i = np.zeros(stop - start, dtype=dtype)
-    n = np.zeros(stop - start, dtype=np.int64)
-    row = np.zeros(stop - start, dtype=np.int64)       # the root's
-    for step, r in enumerate(draws):
-        at = row * width
-        # the last column is inf throughout
-        for column in table.thresholds.T[:-1]:
-            at += column[row] <= r
-        row = next_row[at]
-        if levels is None:
-            # radius 1 keeps its own step: the general one costs 2-8% more CPU
-            i = (d * i + offsets[at]) % sizes[step + 1]
-        else:
-            n = n + steps[at]
-            i = (d ** steps[at] * i + offsets[at]) % sizes[n]
-            levels[step] = n
-        indices[step] = i
-    return seeds, indices.T, None if levels is None else levels.T
+    n_steps, m = choices.shape
+    sizes = np.array([d**n for n in range(n_steps * int(table.steps.max()) + 1)],
+                     dtype=indices.dtype)
+    for a in range(0, m, _STEP_BLOCK):
+        b = min(a + _STEP_BLOCK, m)
+        i = np.zeros(b - a, dtype=indices.dtype)
+        n = np.zeros(b - a, dtype=np.int64)
+        row = np.zeros(b - a, dtype=np.int64)       # the root's
+        for step, choice in enumerate(choices[:, a:b]):
+            at = row * width + choice
+            row = next_row[at]
+            if levels is None:
+                # radius 1 keeps its own step: the general one costs 2-8% more CPU
+                i = (d * i + offsets[at]) % sizes[step + 1]
+            else:
+                n = n + steps[at]
+                i = (d ** steps[at] * i + offsets[at]) % sizes[n]
+                levels[step, a:b] = n
+            indices[step, a:b] = i
 
 
 # fewest paths for which a process pool beats one process on wall time: the
@@ -343,8 +389,13 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
     Path p draws from its own Mersenne Twister stream, the one
     ``random.Random(_stream_seed(seed, p))`` produces, so the result is
     bit-reproducible for fixed (seed, n_paths, n_steps) no matter how many
-    workers split the index range.  Each worker seeds the streams of its
-    paths together in numpy (``_mt_outputs``), then steps them together.
+    workers split the index range.  Each worker (or this process, for one
+    worker or few paths) seeds the streams of its paths in numpy
+    (``_mt_block``) and steps them through the kernel's row table, sending
+    back only the stream seeds and the column each step chose, one byte per
+    step for tables up to 256 wide.  The choices are replayed here through
+    the same table (``_replay``) into the preallocated arrays of the result,
+    so apart from that result the memory is a few fixed-size blocks.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -352,28 +403,43 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
         raise LevelOverflowError(
             f"{n_steps} steps of radius {kernel.radius} exceed depth limit "
             f"{kernel.depth_limit}")
-    if workers <= 1 or n_paths < POOL_MIN_PATHS:
-        chunks = [_sample_chunk(kernel.table, 0, n_paths, n_steps, seed)]
-    else:
-        # processes, not threads: a thread pool lost wall time and RSS at 1e5 paths.
-        # Imported here: only a pooled run pays for loading it
-        from concurrent.futures import ProcessPoolExecutor
+    table = kernel.table
+    chunks = _sampled_chunks(table, n_paths, n_steps, seed, workers)
+    # the result is allocated once the first chunk is back: in one process
+    # the seeding and stepping buffers are freed by then
+    first = next(chunks)
+    seeds = np.empty(n_paths, dtype=np.uint64)
+    indices = np.empty((n_steps, n_paths),
+                       dtype=index_dtype(kernel.realization.degree, n_steps * kernel.radius))
+    levels = None if kernel.radius == 1 else np.empty((n_steps, n_paths), dtype=np.int64)
+    for a, (chunk_seeds, choices) in itertools.chain([first], chunks):
+        b = a + len(chunk_seeds)
+        seeds[a:b] = chunk_seeds
+        _replay(table, choices, indices[:, a:b], None if levels is None else levels[:, a:b])
+    levels = (np.broadcast_to(np.arange(1, n_steps + 1), (n_paths, n_steps))
+              if levels is None else levels.T)
+    return PathSamples(kernel.realization.degree, np.arange(n_paths), seeds, indices.T, levels)
 
-        chunk = (n_paths + workers - 1) // workers
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # the table, not the kernel: one with a level-12 graph pickles to 600 KB
-            futures = [pool.submit(_sample_chunk, kernel.table, a, min(a + chunk, n_paths),
-                                   n_steps, seed)
-                       for a in range(0, n_paths, chunk)]
-            chunks = [f.result() for f in futures]
-    seeds = np.concatenate([c[0] for c in chunks])
-    indices = np.concatenate([c[1] for c in chunks])
-    if chunks[0][2] is None:
-        levels = np.broadcast_to(np.arange(1, n_steps + 1), indices.shape)
-    else:
-        levels = np.concatenate([c[2] for c in chunks])
-    return PathSamples(kernel.realization.degree, np.arange(n_paths), seeds,
-                       indices, levels)
+
+def _sampled_chunks(table: RowTable, n_paths: int, n_steps: int, seed: int, workers: int):
+    """(first path, ``_sample_chunk`` result) for each chunk of the paths, in
+    path order: one chunk in this process for one worker or fewer than
+    ``POOL_MIN_PATHS`` paths, else one per worker from a process pool, each
+    yielded as soon as it and the chunks before it are done."""
+    if workers <= 1 or n_paths < POOL_MIN_PATHS:
+        yield 0, _sample_chunk(table, 0, n_paths, n_steps, seed)
+        return
+    # processes, not threads: a thread pool lost wall time and RSS at 1e5 paths.
+    # Imported here: only a pooled run pays for loading it
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = (n_paths + workers - 1) // workers
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the table, not the kernel: one with a level-12 graph pickles to 600 KB
+        futures = {a: pool.submit(_sample_chunk, table, a, min(a + chunk, n_paths), n_steps, seed)
+                   for a in range(0, n_paths, chunk)}
+        for a, future in futures.items():
+            yield a, future.result()
 
 
 # -- drift ----------------------------------------------------------------------
@@ -591,8 +657,9 @@ def dimension_report(measure: EmpiricalMeasure, drift: DriftReport, a: float,
     rng = random.Random(seed)
     bins = rng.choices(range(measure.n_bins), weights=masses, k=n_points)
     j_lo, j_hi = 2, m - 2
-    dims = []
-    for b in bins:
+    # the slope depends on the bin alone: one fit per distinct bin, read in draw order
+    slopes = {}
+    for b in set(bins):
         xi = (b + 0.5) / measure.n_bins
         pts = []
         for j in range(j_lo, j_hi + 1):
@@ -610,7 +677,8 @@ def dimension_report(measure: EmpiricalMeasure, drift: DriftReport, a: float,
             slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         else:
             slope = np.polyfit(xs, ys, 1)[0]
-        dims.append(float(slope))
+        slopes[b] = float(slope)
+    dims = [slopes[b] for b in bins if b in slopes]
     local = np.array(dims)
     packing = min(max(float(np.percentile(local, 90)), 0.0), 1.0)
     formula = drift.l_G_estimate / (a * float(drift.l))

@@ -190,26 +190,43 @@ def hitting_vector(kernel: Kernel, target: Word) -> dict[Word, Fraction]:
     return values
 
 
+# targets whose backward DP and Python-integer join run at once: the scratch
+# of a block is fixed, whatever the batch
+_TARGET_BLOCK = 16_384
+
+
 def root_numerators(kernel: Kernel, indices, level: int) -> tuple[list[int], int]:
     """Q^level F(o, t) for the level-``level`` tiles t indexed ``indices``,
     and Q: a forward table from the root, no larger than the batch and in
     int64, joined at a split level k to the targets' backward bands on the
-    levels k .. k + R - 1, where every path has its first tile past k - 1."""
+    levels k .. k + R - 1, where every path has its first tile past k - 1.
+
+    The split level and the forward table come from the whole batch; the
+    backward DP and the join run ``_TARGET_BLOCK`` targets at a time, so
+    past the returned numerators the memory does not grow with the batch.
+    """
     d, q, radius = kernel.realization.degree, kernel.scale, kernel.radius
     targets = np.asarray(indices, dtype=index_dtype(d, level))
     k = 0
     while (k < level and d ** (k + 1) <= len(targets)
            and value_dtype(q ** (k + radius)) is np.int64):
         k += 1
-    table = _forward(kernel, ROOT, k)
-    total = np.zeros(len(targets), dtype=value_dtype(q**level))
-    for l, lo, band in _backward(kernel, level, targets, k):
-        if l < k + radius and l in table:
-            dense = np.zeros(d**l, dtype=total.dtype)
-            dense[table[l][0].astype(np.int64)] = table[l][1]
-            ancestors = (lo[:, None] + np.arange(band.shape[1])) % d**l
-            total += (dense[ancestors.astype(np.int64)] * band).sum(axis=1)
-    return total.tolist(), q
+    dtype = value_dtype(q**level)
+    dense = {}
+    for l, (cells, values) in _forward(kernel, ROOT, k).items():
+        if l >= k:
+            dense[l] = np.zeros(d**l, dtype=dtype)
+            dense[l][cells.astype(np.int64)] = values
+    nums: list[int] = []
+    for a in range(0, len(targets), _TARGET_BLOCK):
+        block = targets[a:a + _TARGET_BLOCK]
+        total = np.zeros(len(block), dtype=dtype)
+        for l, lo, band in _backward(kernel, level, block, k):
+            if l in dense:
+                ancestors = (lo[:, None] + np.arange(band.shape[1])) % d**l
+                total += (dense[l][ancestors.astype(np.int64)] * band).sum(axis=1)
+        nums += total.tolist()
+    return nums, q
 
 
 def green_value(kernel: Kernel, u: Word, v: Word) -> Fraction:

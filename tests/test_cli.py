@@ -480,3 +480,23 @@ def test_hyperbolicity_pair_levels_follow_max_level(tmp_path, max_level, rows):
     lines = (tmp_path / "hyperbolicity.tsv").read_text().splitlines()
     body = [line for line in lines if not line.startswith("#")][1:]
     assert [row.split("\t")[0] for row in body] == rows
+
+
+@pytest.mark.parametrize("max_level", [1, 3])
+def test_hyperbolicity_below_level_4_exits_2(tmp_path, capsys, max_level):
+    # every delta cutoff (4, 5, 6) lies above run.max_level
+    scn = parse_scenario(REFERENCE_SCENARIO.replace("run.max_level = 8",
+                                                    f"run.max_level = {max_level}"))
+    assert run_command("hyperbolicity", scn, tmp_path) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: run.max_level: hyperbolicity needs >= 4, got {max_level}\n")
+    assert not (tmp_path / "hyperbolicity.tsv").exists()
+
+
+def test_hyperbolicity_at_level_4_writes_one_delta_row(tmp_path, capsys):
+    scn = parse_scenario(REFERENCE_SCENARIO.replace("run.max_level = 8", "run.max_level = 4"))
+    assert run_command("hyperbolicity", scn, tmp_path) == EXIT_OK
+    lines = (tmp_path / "hyperbolicity.tsv").read_text().splitlines()
+    body = [line for line in lines if not line.startswith("#")][1:]
+    assert [row.split("\t")[0] for row in body] == ["4", "diam_comparability_4"]
+    assert capsys.readouterr().out.startswith("hyperbolicity: delta = 4:")

@@ -1157,6 +1157,48 @@ def test_core_root_numerators_match_hitting_vector(name, data):
         _reference_hitting_vector(k, Word.from_index(i, m, d)).get(ROOT, F(0)) for i in idx]
 
 
+def test_root_numerators_across_a_target_block_match_hitting_vector():
+    from tilewalk import green_martin
+
+    # one target more than a block, drawn from 200 level-20 tiles, so the
+    # backward DP runs below a split level and the last block holds one target
+    k, m = doubling_kernel(F(3, 5)), 20
+    rng = np.random.default_rng(4)
+    tiles = rng.integers(0, 2**m, 200)
+    idx = tiles[rng.integers(0, len(tiles), green_martin._TARGET_BLOCK + 1)]
+    nums, q = root_numerators(k, idx, m)
+    exact = {i: hitting_vector(k, Word.from_index(i, m, 2)).get(ROOT, F(0))
+             for i in tiles.tolist()}
+    assert len(nums) == len(idx)
+    assert [F(num, q**m) for num in nums] == [exact[i] for i in idx.tolist()]
+
+
+_WIDEST = max(_SHADOW_KERNELS, key=lambda name: _SHADOW_KERNELS[name].table.steps.shape[1])
+
+
+# the radius-2 table and the widest row table
+@pytest.mark.parametrize("name", ["far-reach", _WIDEST])
+def test_pooled_sampling_matches_one_process_across_blocks(name, monkeypatch):
+    import concurrent.futures
+
+    k = _SHADOW_KERNELS[name]
+    width = k.table.steps.shape[1]
+    _, choices = ergodics._sample_chunk(k.table, 0, 50, 6, 7)
+    assert choices.dtype.kind == "u" and np.iinfo(choices.dtype).max >= width - 1
+    assert choices.max() < width
+    pools = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kw: pools.append(kw) or pool_class(**kw))
+    n_paths = ergodics.POOL_MIN_PATHS + 7
+    assert n_paths % ergodics._SEED_CHUNK and n_paths % ergodics._STEP_BLOCK
+    one = sample_paths(k, n_paths, 6, seed=7, workers=1)
+    pooled = sample_paths(k, n_paths, 6, seed=7, workers=3)
+    assert pools == [{"max_workers": 3}]
+    for field in ("path_index", "stream_seed", "indices", "levels"):
+        assert np.array_equal(getattr(one, field), getattr(pooled, field)), field
+
+
 @pytest.mark.parametrize("name", ["root-jump", "far-reach"])
 def test_green_drift_radius_two_mixed_levels_matches_per_target(name):
     # radius-2 paths end on several levels: one batched DP per final level

@@ -282,3 +282,80 @@ def test_generic_kernel_sampling_matches_doubling():
     b = sample_paths(dk, 40, 6, seed=12)
     # same stream, same cumulative order of targets -> identical trajectories
     assert [s.indices for s in a] == [s.indices for s in b]
+
+
+def _reference_local_dims(measure, n_points, seed):
+    """dimension_report's local slopes fitted point by point, in draw order."""
+    import random
+
+    d, masses = measure.degree, measure.masses
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    bins = random.Random(seed).choices(range(measure.n_bins), weights=masses, k=n_points)
+    dims = []
+    for b in bins:
+        xi = (b + 0.5) / measure.n_bins
+        pts = [(-j * math.log(d), math.log(nu))
+               for j in range(2, measure.bin_level - 1)
+               if (nu := ergodics._ball_mass(cum, masses, xi, d ** float(-j))) > 0]
+        if len(pts) < 2:
+            continue
+        env = ergodics._upper_envelope(pts)
+        xs, ys = np.array([p[0] for p in env]), np.array([p[1] for p in env])
+        if len(env) == 2:
+            dims.append(float((ys[1] - ys[0]) / (xs[1] - xs[0])))
+        else:
+            dims.append(float(np.polyfit(xs, ys, 1)[0]))
+    return dims
+
+
+def test_dimension_report_matches_a_per_point_loop():
+    # 40 of 256 bins carry mass: 600 draws repeat bins many times
+    rng = np.random.default_rng(3)
+    masses = np.zeros(2**8)
+    masses[rng.choice(2**8, 40, replace=False)] = rng.random(40)
+    measure = EmpiricalMeasure(8, 2, masses / masses.sum(), 1000)
+    drift = ergodics.DriftReport(F(1), 0.5, 0.0, 1000, 20)
+    report = dimension_report(measure, drift, a=math.log(2), n_points=600, seed=11)
+    reference = _reference_local_dims(measure, 600, 11)
+    assert len(set(reference)) < 100
+    assert report.local_dims.tolist() == reference
+    assert report.n_points == 600
+    assert report.packing_estimate == min(max(float(np.percentile(reference, 90)), 0.0), 1.0)
+
+
+def _scratch_bytes(fn, *args) -> int:
+    """Peak traced bytes during fn(*args) less the bytes its result holds."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args)      # alive while the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - held
+
+
+def test_sample_paths_scratch_does_not_grow_with_the_path_count():
+    k = doubling_kernel(F(3, 5))
+    n = 3 * ergodics._STEP_BLOCK
+    sample_paths(k, 100, 30, seed=5)
+    grown = (_scratch_bytes(sample_paths, k, 2 * n, 30, 5)
+             - _scratch_bytes(sample_paths, k, n, 30, 5))
+    # one block's scratch: a float64 draw per step for each path of a block
+    assert grown < ergodics._STEP_BLOCK * 30 * 8
+
+
+def test_root_numerators_scratch_does_not_grow_with_the_batch():
+    from tilewalk import green_martin
+    from tilewalk.green_martin import root_numerators
+
+    k = doubling_kernel(F(3, 5))
+    n = 3 * green_martin._TARGET_BLOCK
+    targets = np.random.default_rng(0).integers(0, 2**30, 2 * n)
+    root_numerators(k, targets[:100], 30)
+    grown = (_scratch_bytes(root_numerators, k, targets, 30)
+             - _scratch_bytes(root_numerators, k, targets[:n], 30))
+    # one block's scratch: an int64 per level for each target of a block
+    assert grown < green_martin._TARGET_BLOCK * 30 * 8
