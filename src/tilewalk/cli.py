@@ -193,7 +193,11 @@ def parse_scenario(document: str) -> Scenario:
     for key, value in values.items():
         setattr(scn, _KEYS[key][0], value)
     if "kernel.table" in values:
+        if values.get("kernel.family", "table") != "table":
+            problems.append(f"kernel.family: {scn.kernel_family} conflicts with kernel.table")
         scn.kernel_family = "table"
+    elif scn.kernel_family == "table":
+        problems.append("kernel.family: table requires kernel.table")
 
     if scn.degree < 2:
         problems.append("system.degree: must be >= 2")
@@ -261,13 +265,13 @@ class OutputWriter:
         return fh
 
 
-def _build_kernel(scn: Scenario, graph=None, depth_limit: int = 64):
+def _build_kernel(scn: Scenario, graph=None):
     if scn.kernel_family == "doubling_px":
-        kernel = doubling_kernel(scn.x, graph, depth_limit)
+        kernel = doubling_kernel(scn.x, graph)
     else:
         with open(scn.table_path) as fh:
             spec = load_table_spec(fh)
-        kernel = extend_by_equivariance(spec, graph, CircleRealization(scn.degree), depth_limit)
+        kernel = extend_by_equivariance(spec, graph, CircleRealization(scn.degree))
     if scn.base_level is not None and scn.base_level != kernel.base_level:
         raise ScenarioError([f"kernel.base_level: scenario gives {scn.base_level}, "
                              f"the kernel has base level {kernel.base_level}"])

@@ -504,15 +504,27 @@ def green_drift_estimate(kernel: Kernel, samples: PathSamples,
     return DriftReport(drift_exact(kernel), est, stderr, len(samples), n, gs, values)
 
 
+def _evolve(kernel: Kernel, dist: dict[Word, Fraction]) -> dict[Word, Fraction]:
+    """The walk's distribution one step after ``dist``."""
+    nxt: dict[Word, Fraction] = {}
+    for u, pu in dist.items():
+        for w, p in kernel.outgoing(u):
+            if p:
+                nxt[w] = nxt.get(w, Fraction(0)) + pu * p
+    return nxt
+
+
 def exact_green_drift_curve(kernel: Kernel, n_max: int) -> list[float]:
-    """E(g_n) = -sum_v F(o,v) log F(o,v) over level-n vertices, n = 1..n_max,
-    from the exact root table.  Full-level DP: test scales only."""
-    table = green_table(kernel, ROOT, n_max)
-    acc = [0.0] * (n_max + 1)
-    for w, fr in table.values.items():
-        if w.level >= 1:
-            acc[w.level] += float(fr) * (-frac_log(fr))
-    return acc[1:]
+    """E(g_n) = -sum_v P(Z_n = v) log F(o, v), n = 1..n_max, over the exact
+    law of Z_n from ``_evolve`` (for radius R > 1 it spreads over levels
+    n..nR, so it is not F(o, .) on level n) with F(o, .) from one root table
+    to level n_max R.  Full-law DP: test scales only."""
+    table = green_table(kernel, ROOT, n_max * kernel.radius)
+    law, curve = {ROOT: Fraction(1)}, []
+    for _ in range(n_max):
+        law = _evolve(kernel, law)
+        curve.append(sum(float(p) * -frac_log(table.value(v)) for v, p in law.items()))
+    return curve
 
 
 def check_path_subadditivity(kernel: Kernel, sample: PathSample, cut: int) -> bool:
@@ -720,79 +732,65 @@ class CylinderInvarianceReport:
         return [r for r in self.rows if not r.equal]
 
 
-def _evolve(kernel: Kernel, dist: dict[Word, Fraction]) -> dict[Word, Fraction]:
-    """The walk's distribution one step after ``dist``."""
-    nxt: dict[Word, Fraction] = {}
-    for u, pu in dist.items():
-        for w, p in kernel.outgoing(u):
-            if p:
-                nxt[w] = nxt.get(w, Fraction(0)) + pu * p
-    return nxt
-
-
-def _lifted_chain_mass(kernel: Kernel, z: Word, vs: tuple[Word, ...]) -> Fraction:
-    """Sum over continuations w_1..w_m from z with shift^|z| w_i = v_i of the
-    product of transition probabilities."""
-    t = z.level
-    cur = {z: Fraction(1)}
-    for v in vs:
-        cur = {w: pw for w, pw in _evolve(kernel, cur).items()
-               if w.level == t + v.level and Word(w.symbols[t:]) == v}
-        if not cur:
-            return Fraction(0)
-    return sum(cur.values(), Fraction(0))
-
-
-def _support_cylinders(kernel: Kernel, max_m: int) -> list[tuple[Word, ...]]:
-    chains: list[tuple[Word, ...]] = []
-    frontier: list[tuple[Word, ...]] = [(ROOT,)]
+def _shifted_masses(kernel: Kernel, law: dict[Word, Fraction],
+                    max_m: int) -> dict[tuple[Word, ...], Fraction]:
+    """The mass of each shifted chain within ``max_m`` steps of ``law``: a
+    continuation z, w_1..w_j (j <= max_m) of a tile z of the law counts for
+    (o, sigma^|z| w_1, ..., sigma^|z| w_j).  From the root's law the chains
+    are the support cylinders, level by level in row order, and the masses
+    their weights prod P(v_i, v_{i+1})."""
+    masses: dict[tuple[Word, ...], Fraction] = {}
+    # (shifted chain, |z|, w_j) -> mass; continuations depend on w_j alone
+    frontier = {((ROOT,), z.level, z): p for z, p in law.items()}
     for _ in range(max_m):
-        frontier = [chain + (w,) for chain in frontier
-                    for w, p in kernel.outgoing(chain[-1]) if p]
-        chains.extend(frontier)
-    return chains
+        nxt: dict[tuple[tuple[Word, ...], int, Word], Fraction] = {}
+        for (chain, t, u), pu in frontier.items():
+            for w, p in kernel.outgoing(u):
+                if p:
+                    key = (chain + (Word(w.symbols[t:]),), t, w)
+                    nxt[key] = nxt.get(key, Fraction(0)) + pu * p
+        frontier = nxt
+        for (chain, _, _), p in frontier.items():
+            masses[chain] = masses.get(chain, Fraction(0)) + p
+    return masses
 
 
 def cylinder_invariance_check(kernel: Kernel, max_m: int, max_k: int) -> CylinderInvarianceReport:
-    """Exact check of the path-space shift invariance identity
-    P(T^-k [v_0..v_m]) = prod P(v_i, v_{i+1}) for all kernel-support
-    cylinders with m <= max_m and k <= max_k, by summation over all level-k
-    prefixes and all lifted continuations.
+    """Exact check of the path-space shift invariance P o T^-k = P on the
+    support cylinders [v_0..v_m], m <= max_m, k <= max_k: the shifted chain
+    masses of the law of Z_k (``_shifted_masses``) must equal those of the
+    root's law, the weights prod P(v_i, v_{i+1}).
 
     Also checks the mixing factorization P(C intersect T^-k C') =
     P(C) P(C') for support-cylinder pairs once k exceeds the depth of the
-    first cylinder.  Failures are reported with the witness cylinder, not
+    first cylinder, from the shifted chain masses of the first cylinder's
+    evolved law.  Failures are reported with the witness cylinder, not
     raised.
     """
-    cylinders = _support_cylinders(kernel, max_m)
-    # P([v_0..v_m]): the product of the cylinder's transition weights
-    weight = {cyl: math.prod((kernel.weight(u, v) for u, v in zip(cyl, cyl[1:])),
-                             start=Fraction(1))
-              for cyl in cylinders}
-    dists = [{ROOT: Fraction(1)}]
+    laws = [{ROOT: Fraction(1)}]
     for _ in range(max_k):
-        dists.append(_evolve(kernel, dists[-1]))
+        laws.append(_evolve(kernel, laws[-1]))
+    shifted = [_shifted_masses(kernel, law, max_m) for law in laws]
+    weight = shifted[0]
     rows: list[CylinderRow] = []
-    for cyl in cylinders:
-        rhs = weight[cyl]
-        for k in range(max_k + 1):
-            lhs = sum((pz * _lifted_chain_mass(kernel, z, cyl[1:])
-                       for z, pz in dists[k].items()), Fraction(0))
+    for cyl, rhs in weight.items():
+        for k, masses in enumerate(shifted):
+            lhs = masses.get(cyl, Fraction(0))
             rows.append(CylinderRow(cyl, k, lhs, rhs, lhs == rhs))
 
     mixing_rows: list[MixingRow] = []
-    short = [c for c in cylinders if len(c) - 1 <= max(1, max_m - 1)]
+    short_m = max(1, max_m - 1)
+    short = [c for c in weight if len(c) - 1 <= short_m]
     for first in short:
-        m_first = len(first) - 1
-        # the walk's mass on the first cylinder's endpoints, step m_first .. max_k
-        laws = [{first[-1]: weight[first]}]
-        for _ in range(m_first + 1, max_k + 1):
-            laws.append(_evolve(kernel, laws[-1]))
+        # the walk's law on [first] at steps m + 1 .. max_k, m = len(first) - 1
+        law, later = {first[-1]: weight[first]}, []
+        for _ in range(len(first), max_k + 1):
+            law = _evolve(kernel, law)
+            later.append(_shifted_masses(kernel, law, short_m))
         for second in short:
             rhs = weight[first] * weight[second]
-            for k, law in enumerate(laws[1:], m_first + 1):
-                lhs = sum((pz * _lifted_chain_mass(kernel, z, second[1:])
-                           for z, pz in law.items()), Fraction(0))
+            for k, masses in enumerate(later, len(first)):
+                lhs = masses.get(second, Fraction(0))
                 mixing_rows.append(MixingRow(first, second, k, lhs, rhs, lhs == rhs))
     return CylinderInvarianceReport(rows, mixing_rows)
 

@@ -95,6 +95,30 @@ def test_scenario_values_at_their_floor_run(tmp_path, key, value, command):
                  "--workers", "1"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("lines,problem", [
+    (["kernel.family = table"], "table requires kernel.table"),
+    (["kernel.family = doubling_px", "kernel.table = {table}"],
+     "doubling_px conflicts with kernel.table"),
+], ids=["table-without-file", "doubling-with-table"])
+def test_kernel_family_must_agree_with_kernel_table(tmp_path, capsys, lines, problem):
+    from tilewalk.kernels import doubling_table_spec, save_table_spec
+
+    table = tmp_path / "table.tsv"
+    with table.open("w") as fh:
+        save_table_spec(doubling_table_spec(F(3, 5)), fh)
+    text = "\n".join(lines).format(table=table) + "\n"
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(text)
+    assert main(["green", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == \
+        EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"scenario error: kernel.family: {problem}\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text + "run.n_steps = 0\n")
+    assert exc.value.problems == [f"kernel.family: {problem}", "run.n_steps: must be >= 1"]
+
+
 def test_table_scenario_row_sum_error(tmp_path):
     table = tmp_path / "kernel.tsv"
     table.write_text("base_level = 0\no 0 1/2\no 1 1/3\n")

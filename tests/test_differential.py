@@ -4,9 +4,9 @@ and their compiled rows, the integer tile-pair diameters, the level-sweep
 distance table and the geometry and validation built on them, and the
 integer shadows, hulls and neighbourhoods, and the exact integer DP core
 (``green_table``, ``hitting_vector``, ``root_numerators``) and the batched
-Martin window reads against per-path and per-vertex reference code, the
-Word/Fraction DPs kept here, the Fraction tile geometry, the lift itself and
-explicit path enumeration."""
+Martin window reads and the path-space invariance check against per-path,
+per-vertex and per-cylinder reference code, the Word/Fraction DPs kept here,
+the Fraction tile geometry, the lift itself and explicit path enumeration."""
 
 import math
 import random
@@ -27,7 +27,9 @@ from tilewalk.ergodics import (
     _mt_random,
     _stream_seed,
     _uniforms,
+    cylinder_invariance_check,
     empirical_harmonic_measure,
+    exact_green_drift_curve,
     green_drift_estimate,
     root_hitting_probability,
     sample_paths,
@@ -1199,6 +1201,35 @@ def test_pooled_sampling_matches_one_process_across_blocks(name, monkeypatch):
         assert np.array_equal(getattr(one, field), getattr(pooled, field)), field
 
 
+@pytest.mark.parametrize("name,n_steps", [("x=3/5", 4), ("far-reach", 2)])
+def test_pooled_sampler_matches_reference_loop(name, n_steps, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kw: pools.append(kw) or pool_class(**kw))
+    n_paths = ergodics.POOL_MIN_PATHS + 7
+    if name == "x=3/5":
+        k = doubling_kernel(F(3, 5))
+        ref = _reference_paths(k.x, n_paths, n_steps, 9, _reference_doubling)
+    else:
+        k = _SHADOW_KERNELS[name]
+        ref = _reference_paths(k, n_paths, n_steps, 9, _reference_generic)
+    samples = sample_paths(k, n_paths, n_steps, seed=9, workers=3)
+    assert pools == [{"max_workers": 3}]
+    assert _rows(samples) == ref
+
+
+def test_exact_green_drift_curve_reads_the_step_law_at_radius_two():
+    # the far-reach walk lands on levels n..2n, each path with F(o, Z_n) = 2^-n;
+    # the level-n values of F(o, .) sum to less than one
+    k = _SHADOW_KERNELS["far-reach"]
+    assert abs(exact_green_drift_curve(k, 6)[-1] - 6 * math.log(2)) < 1e-12
+    report = green_drift_estimate(k, sample_paths(k, 2000, 6, seed=4))
+    assert abs(6 * report.l_G_estimate - 6 * math.log(2)) < 1e-12
+
+
 @pytest.mark.parametrize("name", ["root-jump", "far-reach"])
 def test_green_drift_radius_two_mixed_levels_matches_per_target(name):
     # radius-2 paths end on several levels: one batched DP per final level
@@ -1292,3 +1323,83 @@ def test_martin_ray_outside_the_root_shadow_raises(run, first):
     # (1011): the error names the first unreachable tile ray by ray
     with pytest.raises(ZeroDivisionError, match=f"^target {first} outside the shadow of the root$"):
         run(_SHADOW_KERNELS["uneven"])
+
+
+# -- path-space invariance against per-cylinder lifted sums ------------------------
+
+
+def _reference_step(kernel, dist):
+    nxt = {}
+    for u, pu in dist.items():
+        for w, p in kernel.outgoing(u):
+            if p:
+                nxt[w] = nxt.get(w, F(0)) + pu * p
+    return nxt
+
+
+def _reference_lifted_chain_mass(kernel, z, vs):
+    """Sum over continuations w_1..w_m from z with shift^|z| w_i = v_i of the
+    product of transition probabilities."""
+    t = z.level
+    cur = {z: F(1)}
+    for v in vs:
+        cur = {w: pw for w, pw in _reference_step(kernel, cur).items()
+               if w.level == t + v.level and Word(w.symbols[t:]) == v}
+        if not cur:
+            return F(0)
+    return sum(cur.values(), F(0))
+
+
+def _reference_cylinder_check(kernel, max_m, max_k):
+    """The rows and mixing rows of ``cylinder_invariance_check`` as tuples:
+    the support cylinders enumerated chain by chain, weighed by products of
+    ``kernel.weight``, and every left-hand side summed over the start tiles
+    of its step law, one lifted continuation sum per tile."""
+    cylinders, frontier = [], [(ROOT,)]
+    for _ in range(max_m):
+        frontier = [chain + (w,) for chain in frontier
+                    for w, p in kernel.outgoing(chain[-1]) if p]
+        cylinders.extend(frontier)
+    weight = {cyl: math.prod((kernel.weight(u, v) for u, v in zip(cyl, cyl[1:])), start=F(1))
+              for cyl in cylinders}
+    dists = [{ROOT: F(1)}]
+    for _ in range(max_k):
+        dists.append(_reference_step(kernel, dists[-1]))
+    rows = []
+    for cyl in cylinders:
+        for k in range(max_k + 1):
+            lhs = sum((pz * _reference_lifted_chain_mass(kernel, z, cyl[1:])
+                       for z, pz in dists[k].items()), F(0))
+            rows.append((cyl, k, lhs, weight[cyl], lhs == weight[cyl]))
+    mixing = []
+    short = [c for c in cylinders if len(c) - 1 <= max(1, max_m - 1)]
+    for first in short:
+        m_first = len(first) - 1
+        laws = [{first[-1]: weight[first]}]
+        for _ in range(m_first + 1, max_k + 1):
+            laws.append(_reference_step(kernel, laws[-1]))
+        for second in short:
+            rhs = weight[first] * weight[second]
+            for k, law in enumerate(laws[1:], m_first + 1):
+                lhs = sum((pz * _reference_lifted_chain_mass(kernel, z, second[1:])
+                           for z, pz in law.items()), F(0))
+                mixing.append((first, second, k, lhs, rhs, lhs == rhs))
+    return rows, mixing
+
+
+_CYLINDER_KERNELS = {**{f"x={x}": doubling_kernel(x) for x in (F(1, 4), F(1, 2), F(3, 5))},
+                     **_SHADOW_KERNELS}
+
+
+@pytest.mark.parametrize("name", list(_CYLINDER_KERNELS))
+def test_cylinder_invariance_matches_per_cylinder_reference(name):
+    k = _CYLINDER_KERNELS[name]
+    cases = [(1, 2), (2, 2), (2, 4)] + ([(3, 3)] if name in ("x=1/2", "far-reach") else [])
+    for max_m, max_k in cases:
+        report = cylinder_invariance_check(k, max_m, max_k)
+        rows, mixing = _reference_cylinder_check(k, max_m, max_k)
+        assert [(r.words, r.k, r.lhs, r.rhs, r.equal) for r in report.rows] == rows
+        assert [(r.first, r.second, r.k, r.lhs, r.rhs, r.equal)
+                for r in report.mixing_rows] == mixing
+        assert all(isinstance(v, F) for r in report.rows + report.mixing_rows
+                   for v in (r.lhs, r.rhs))
