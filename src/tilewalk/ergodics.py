@@ -198,13 +198,14 @@ _MT_N, _MT_M = 624, 397
 # streams seeded at once: a (624, 4096) uint32 state, 10 MB
 _SEED_CHUNK = 4096
 # paths stepped (and replayed) at once, a few seeding chunks so that each
-# step's numpy calls cover more paths: a (n_steps, 16384) float64 block of
-# draws, 3.9 MB at 30 steps
+# step's numpy calls cover more paths: a (2 n_steps, 16384) uint32 block of
+# words and a (n_steps, 16384) float64 block of draws, 3.9 MB each at 30 steps
 _STEP_BLOCK = 4 * _SEED_CHUNK
 
 
 def _init_genrand(s: int) -> np.ndarray:
-    """MT19937's init_genrand(s), the state init_by_array starts from."""
+    """MT19937's init_genrand(s), the state init_by_array starts from; numpy's
+    RandomState(s) holds it too, but importing numpy.random costs 10 ms and 2 MB."""
     mt = [s]
     for i in range(1, _MT_N):
         mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
@@ -284,20 +285,12 @@ def _mt_outputs(stream_seeds: np.ndarray, n_words: int) -> np.ndarray:
     return out
 
 
-def _draws(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``random()`` from pairs of consecutive 32-bit outputs a, b (rows 2t and
-    2t + 1 of ``words``) as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, written
-    into ``out``."""
-    np.multiply(words[0::2] >> 5, 67108864.0, out=out)
-    out += words[1::2] >> 6
-    out *= 1.0 / 9007199254740992.0
-    return out
-
-
 def _mt_random(stream_seeds: np.ndarray, n_draws: int) -> np.ndarray:
-    """The first n_draws of ``random.Random(s).random()`` for each stream
-    seed s, one column per seed."""
-    return _draws(_mt_outputs(stream_seeds, 2 * n_draws), np.empty((n_draws, len(stream_seeds))))
+    """The first n_draws of ``random.Random(s).random()`` for each stream seed
+    s, one column per seed: ((a >> 5) * 2**26 + (b >> 6)) / 2**53 from output
+    pairs a, b of ``_mt_outputs``, as CPython computes it, exact in float64."""
+    words = _mt_outputs(stream_seeds, 2 * n_draws)
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
 
 def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,31 +310,24 @@ def _sample_chunk(table: RowTable, start: int, stop: int, n_steps: int,
     unsigned dtype that holds the table width.  ``_replay`` turns choices
     into tiles.
 
-    The streams are seeded ``_SEED_CHUNK`` paths at a time into a block of
-    draws, and each block of ``_STEP_BLOCK`` paths steps through the table
-    at once; the state and the draws are buffers reused for every block, so
-    the scratch does not grow with the path count.
+    Each block of ``_STEP_BLOCK`` paths takes its draws from ``_mt_random``
+    and steps through the table at once, so the scratch is one block's words
+    and draws and does not grow with the path count.
     """
     m, width = stop - start, table.thresholds.shape[1]
     seeds = _stream_seeds(seed, start, stop)
     choices = np.empty((n_steps, m), dtype=np.min_scalar_type(width - 1))
-    draws = np.empty((n_steps, min(m, _STEP_BLOCK)))
-    state = np.empty((_MT_N, min(m, _SEED_CHUNK)), dtype=np.uint32)
-    tmp = np.empty(state.shape[1], dtype=np.uint32)
     # the last column is inf throughout
     thresholds, next_row = table.thresholds.T[:-1], table.next_row.ravel()
     for a in range(0, m, _STEP_BLOCK):
-        b = min(a + _STEP_BLOCK, m)
-        for c in range(a, b, _SEED_CHUNK):
-            e = min(c + _SEED_CHUNK, b)
-            words = _mt_block(seeds[c:e], 2 * n_steps, state[:, :e - c], tmp[:e - c])
-            _draws(words, draws[:, c - a:e - a])
-        row = np.zeros(b - a, dtype=np.int64)       # the root's
-        for r, choice in zip(draws[:, :b - a], choices[:, a:b]):
+        draws = _mt_random(seeds[a:a + _STEP_BLOCK], n_steps)
+        row = np.zeros(draws.shape[1], dtype=np.int64)       # the root's
+        for r, choice in zip(draws, choices[:, a:a + _STEP_BLOCK]):
             choice[:] = 0
             for column in thresholds:
                 choice += column[row] <= r
             row = next_row[row * width + choice]
+        del draws, r        # r views draws; both go before the next block raises the peak
     return seeds, choices
 
 
@@ -349,10 +335,10 @@ def _replay(table: RowTable, choices: np.ndarray, indices: np.ndarray,
             levels: np.ndarray | None):
     """Step paths from the root by the columns of ``choices`` (one row per
     step, as ``_sample_chunk`` returns them), writing the tile index after
-    step s + 1 to ``indices[s]`` and, unless ``levels`` is None (radius 1:
-    level s + 1), its level to ``levels[s]``.  From the level-n tile indexed
-    i, column c of its row k leads to the tile indexed
-    (d^r i + offset) mod d^(n + r), r = ``table.steps[k, c]``."""
+    step s + 1 to ``indices[s]`` and, when ``levels`` is an array, its level
+    to ``levels[s]``.  From the level-n tile indexed i, column c of its row
+    k leads to the tile indexed (d^r i + offset) mod d^(n + r),
+    r = ``table.steps[k, c]``; one step serves every radius."""
     d, width = table.degree, table.steps.shape[1]
     steps, offsets, next_row = table.steps.ravel(), table.offsets.ravel(), table.next_row.ravel()
     n_steps, m = choices.shape
@@ -366,14 +352,11 @@ def _replay(table: RowTable, choices: np.ndarray, indices: np.ndarray,
         for step, choice in enumerate(choices[:, a:b]):
             at = row * width + choice
             row = next_row[at]
-            if levels is None:
-                # radius 1 keeps its own step: the general one costs 2-8% more CPU
-                i = (d * i + offsets[at]) % sizes[step + 1]
-            else:
-                n = n + steps[at]
-                i = (d ** steps[at] * i + offsets[at]) % sizes[n]
-                levels[step, a:b] = n
+            n = n + steps[at]
+            i = (d ** steps[at] * i + offsets[at]) % sizes[n]
             indices[step, a:b] = i
+            if levels is not None:
+                levels[step, a:b] = n
 
 
 # fewest paths for which a process pool beats one process on wall time: the
@@ -390,8 +373,8 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
     ``random.Random(_stream_seed(seed, p))`` produces, so the result is
     bit-reproducible for fixed (seed, n_paths, n_steps) no matter how many
     workers split the index range.  Each worker (or this process, for one
-    worker or few paths) seeds the streams of its paths in numpy
-    (``_mt_block``) and steps them through the kernel's row table, sending
+    worker or few paths) draws the streams of its paths in numpy
+    (``_mt_random``) and steps them through the kernel's row table, sending
     back only the stream seeds and the column each step chose, one byte per
     step for tables up to 256 wide.  The choices are replayed here through
     the same table (``_replay``) into the preallocated arrays of the result,
@@ -399,6 +382,9 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    # a step draws two 32-bit outputs, and _mt_block gives at most 227 per seed
+    if n_steps > (_MT_N - _MT_M) // 2:
+        raise ValueError(f"n_steps must be <= {(_MT_N - _MT_M) // 2}, got {n_steps}")
     if n_steps * kernel.radius > kernel.depth_limit:
         raise LevelOverflowError(
             f"{n_steps} steps of radius {kernel.radius} exceed depth limit "

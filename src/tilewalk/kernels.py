@@ -153,14 +153,16 @@ class EquivariantTableKernel:
         self.realization = realization or graph.realization
         self.base_level = n0 = spec.base_level
         self.depth_limit = depth_limit
+        d = self.realization.degree
 
         window: dict[Word, list[tuple[Word, Fraction]]] = {}
         for u, v, p in spec.entries:
             if u.level > n0:
                 raise KernelError(f"window source {u} above base level {n0}")
+            if not all(0 <= s < d for s in u.symbols + v.symbols):
+                raise KernelError(f"transition {u} -> {v} has a symbol outside 0..{d - 1}")
             window.setdefault(u, []).append((v, p))
         _check_rows(window)
-        d = self.realization.degree
         self.row_tiles = [(n, i) for n in range(n0 + 2) for i in range(d ** min(n, n0))]
         for n, i in self.row_tiles:
             u = Word.from_index(i, n, d)
@@ -543,7 +545,10 @@ def load_table_spec(lines: Iterable[str]) -> TableSpec:
             raise KernelError(f"line {lineno}: expected 'source target p/q'")
         u, v = parse_word(parts[0]), parse_word(parts[1])
         num, _, den = parts[2].partition("/")
-        p = Fraction(int(num), int(den) if den else 1)
+        try:
+            p = Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError):
+            raise KernelError(f"line {lineno}: probability {parts[2]!r} is not p/q, q != 0") from None
         entries.append((u, v, p))
     if base_level is None:
         raise KernelError("missing base_level line")

@@ -9,6 +9,7 @@ common denominator d**m, so no decision touches floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,13 +107,6 @@ class SftMatrix:
     def full_shift(cls, n_states: int) -> "SftMatrix":
         row = tuple(True for _ in range(n_states))
         return cls(tuple(row for _ in range(n_states)))
-
-    @property
-    def n_states(self) -> int:
-        return len(self.entries)
-
-    def admits(self, a: int, b: int) -> bool:
-        return self.entries[a][b]
 
     def is_full(self) -> bool:
         return all(all(row) for row in self.entries)
@@ -252,16 +246,10 @@ class CircleRealization:
         if degree < 2:
             raise ValueError("degree must be >= 2")
         self.degree = degree
-        self.matrix = SftMatrix.full_shift(degree)
 
     @property
     def visual_parameter(self) -> float:
         return math.log(self.degree)
-
-    @property
-    def partition(self) -> list[TileInterval]:
-        d = self.degree
-        return [TileInterval(Fraction(k, d), Fraction(k + 1, d)) for k in range(d)]
 
     def __eq__(self, other):
         return isinstance(other, CircleRealization) and other.degree == self.degree
@@ -274,22 +262,11 @@ class CircleRealization:
 
 
 def enumerate_level(realization: CircleRealization, n: int) -> list[Word]:
-    """All admissible words of length n, lexicographically.
-
-    For the full shift these are the d**n 'digit strings' of level-n tiles;
-    the general enumeration walks the transition matrix so that restricted
-    shifts plug in through the same oracle interface.
-    """
+    """All words of length n, lexicographically: the d**n digit strings of
+    the level-n tiles, in index order ([ROOT] at level 0)."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    matrix = realization.matrix
-    if n == 0:
-        return [ROOT]
-    words: list[tuple[int, ...]] = [(s,) for s in range(matrix.n_states)]
-    for _ in range(n - 1):
-        words = [w + (t,) for w in words for t in range(matrix.n_states)
-                 if matrix.admits(w[-1], t)]
-    return [Word(w) for w in words]
+    return [Word(w) for w in itertools.product(range(realization.degree), repeat=n)]
 
 
 def tile_of(realization: CircleRealization, u: Word) -> TileInterval:

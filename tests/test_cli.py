@@ -127,6 +127,24 @@ def test_table_scenario_row_sum_error(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace("0\t01\t", "0\t02\t"), "0 -> 02 has a symbol outside 0..1"),
+    (lambda text: "base_level = 1\no 0 1/3\no 1 1/3\no 2 1/3\n0 00 1\n1 11 1\n2 22 1\n",
+     "o -> 2 has a symbol outside 0..1"),
+    (lambda text: text.replace("o\t0\t4/15", "o\t0\t4/0"), "line 3: probability '4/0'"),
+], ids=["target-symbol-2", "degree-3-table", "zero-denominator"])
+def test_green_refuses_malformed_tables(tmp_path, capsys, edit, message):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(_table_scenario(tmp_path).text)
+    table = tmp_path / "table.tsv"
+    table.write_text(edit(table.read_text()))
+    assert main(["green", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == \
+        EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
 def test_fmt_real():
     assert fmt_real(0.5) == "0.5"
     assert fmt_real(1 / 3) == "0.333333333333"

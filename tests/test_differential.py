@@ -1202,6 +1202,20 @@ def test_pooled_sampling_matches_one_process_across_blocks(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name,n_steps", [("x=3/5", 4), ("far-reach", 2)])
+def test_sampler_matches_reference_loop_across_step_blocks(name, n_steps):
+    # the last 3 paths draw from a second _mt_random call and replay in a
+    # second block; far-reach steps one or two levels at a time
+    n_paths = ergodics._STEP_BLOCK + 3
+    if name == "x=3/5":
+        k = doubling_kernel(F(3, 5))
+        ref = _reference_paths(k.x, n_paths, n_steps, 11, _reference_doubling)
+    else:
+        k = _SHADOW_KERNELS[name]
+        ref = _reference_paths(k, n_paths, n_steps, 11, _reference_generic)
+    assert _rows(sample_paths(k, n_paths, n_steps, seed=11)) == ref
+
+
+@pytest.mark.parametrize("name,n_steps", [("x=3/5", 4), ("far-reach", 2)])
 def test_pooled_sampler_matches_reference_loop(name, n_steps, monkeypatch):
     import concurrent.futures
 

@@ -122,6 +122,20 @@ def test_sampling_depth_guard():
         sample_paths(k, 5, 11, seed=0)
 
 
+def test_sampling_step_guard_comes_before_seeding_and_the_pool(monkeypatch):
+    import concurrent.futures
+
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kw: started.append("pool"))
+    monkeypatch.setattr(ergodics, "_stream_seeds", lambda *a: started.append("seeds"))
+    # 113 steps draw the 226 outputs a seeded state gives before its first twist
+    k = doubling_kernel(F(1, 4), depth_limit=200)
+    with pytest.raises(ValueError, match="n_steps must be <= 113, got 114"):
+        sample_paths(k, 30_000, 114, seed=1, workers=2)
+    assert started == []
+
+
 def test_one_step_distribution():
     x = F(2, 5)
     k = doubling_kernel(x)

@@ -1,4 +1,5 @@
 import io
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -186,6 +187,28 @@ def test_extension_rejects_missing_row(graph6):
         extend_by_equivariance(TableSpec(2, entries), graph6)
 
 
+def _ternary_spec():
+    """Degree 3 at base level 1: the root splits evenly, tile i steps to ii."""
+    entries = [(ROOT, Word((i,)), F(1, 3)) for i in range(3)]
+    return TableSpec(1, tuple(entries + [(Word((i,)), Word((i, i)), F(1)) for i in range(3)]))
+
+
+_X35 = doubling_table_spec(F(3, 5), base_level=2)
+
+
+@pytest.mark.parametrize("spec", [
+    TableSpec(2, tuple((u, parse_word("02") if (str(u), str(v)) == ("0", "01") else v, p)
+                       for u, v, p in _X35.entries)),
+    TableSpec(2, _X35.entries + ((parse_word("2"), parse_word("20"), F(1)),)),
+    _ternary_spec(),
+], ids=["target", "source", "ternary"])
+def test_extension_rejects_symbols_outside_the_degree(spec):
+    with pytest.raises(KernelError, match=r"symbol outside 0\.\.1"):
+        extend_by_equivariance(spec, realization=CircleRealization(2))
+    # the symbols, not the rows, are at fault: degree 3 takes the ternary table
+    extend_by_equivariance(_ternary_spec(), realization=CircleRealization(3))
+
+
 def test_extension_rejects_inconsistent_window(graph6):
     # swap the x-weight inside one level-2 row: still sums to 1 but the
     # pushforward no longer matches the level-1 row
@@ -295,6 +318,12 @@ def test_table_parse_errors():
         load_table_spec(["o 0 1/2"])
     with pytest.raises(KernelError, match="expected"):
         load_table_spec(["base_level = 1", "o 0"])
+
+
+@pytest.mark.parametrize("prob", ["1/0", "0/0", "a/2", "1/b", "0.5", "1/2/3"])
+def test_table_parse_rejects_bad_probabilities(prob):
+    with pytest.raises(KernelError, match=f"line 3: probability '{re.escape(prob)}'"):
+        load_table_spec(["base_level = 0", "o 0 1/2", f"o 1 {prob}"])
 
 
 @pytest.mark.parametrize("make", [
