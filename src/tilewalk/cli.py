@@ -33,6 +33,7 @@ from .tile_graph import (
     write_edge_dump,
 )
 from .kernels import (
+    BLOCK,
     KernelError,
     doubling_kernel,
     extend_by_equivariance,
@@ -368,18 +369,14 @@ def _cmd_classify(scn: Scenario, out: OutputWriter, workers: int) -> int:
     return EXIT_OK
 
 
-# samples.tsv rows formatted at once: the words and midpoints of a block
-# are Python strings and integers
-_TSV_BLOCK = 16_384
-
-
 def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
     kernel = _build_kernel(scn)
     samples = sample_paths(kernel, scn.n_paths, scn.n_steps, scn.seed, workers)
     with out.open("samples.tsv") as fh:
         fh.write("path\tstream_seed\tfinal_word\tmidpoint\n")
-        for a in range(0, len(samples), _TSV_BLOCK):
-            rows = samples[a:a + _TSV_BLOCK]
+        # a block's words and midpoints are Python strings and integers
+        for a in range(0, len(samples), BLOCK):
+            rows = samples[a:a + BLOCK]
             # a midpoint (2i+1)/(2 d^n), n >= 1, never reduces to an integer
             nums, dens = rows.final_midpoint_arrays()
             fh.writelines(f"{p}\t{s}\t{w}\t{num}/{den}\n" for p, s, w, num, den in zip(
@@ -587,6 +584,10 @@ def run_command(name: str, scenario: Scenario, out_dir: str | Path = "out",
         scenario.x_grid = []
     writer = OutputWriter(Path(out_dir), scenario, name, scenario.seed)
     try:
+        # both read only kernel.x: what they report is the doubling family's boundary
+        if name in ("classify", "demo-doubling") and scenario.kernel_family == "table":
+            raise ValueError(f"kernel.table: {name} reads only kernel.x; "
+                             f"it does not take a table kernel")
         return _HANDLERS[name](scenario, writer, workers)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

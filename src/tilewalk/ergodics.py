@@ -26,6 +26,7 @@ import numpy as np
 
 from .green_martin import green_table, hitting_vector, root_numerators
 from .kernels import (
+    BLOCK,
     Kernel,
     LevelOverflowError,
     RowTable,
@@ -195,12 +196,6 @@ def _stream_seeds(seed: int, start: int, stop: int) -> np.ndarray:
 
 # CPython's Mersenne Twister (MT19937): state size and twist offset
 _MT_N, _MT_M = 624, 397
-# streams seeded at once: a (624, 4096) uint32 state, 10 MB
-_SEED_CHUNK = 4096
-# paths stepped (and replayed) at once, a few seeding chunks so that each
-# step's numpy calls cover more paths: a (2 n_steps, 16384) uint32 block of
-# words and a (n_steps, 16384) float64 block of draws, 3.9 MB each at 30 steps
-_STEP_BLOCK = 4 * _SEED_CHUNK
 
 
 def _init_genrand(s: int) -> np.ndarray:
@@ -224,11 +219,11 @@ def _mt_mix(prev: np.ndarray, row: np.ndarray, tmp: np.ndarray, mult: np.uint32)
     row ^= tmp
 
 
-def _mt_block(s: np.ndarray, n_words: int, mt: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The first n_words 32-bit outputs of ``random.Random(s)`` for each of
-    the stream seeds s < 2^64, one column per seed, seeding in the
-    (624, len(s)) uint32 state ``mt`` with the scratch row ``tmp``; both are
-    overwritten.
+def _mt_outputs(stream_seeds: np.ndarray, n_words: int) -> np.ndarray:
+    """The first n_words 32-bit outputs of ``random.Random(s)`` for each
+    stream seed s < 2^64, one column per seed, from one (624, len) uint32
+    state for all the seeds given; the sampler gives at most ``BLOCK``, a
+    20 MB state.
 
     ``random.Random(s)`` seeds by init_by_array over the little-endian 32-bit
     words of s: one key word when s < 2^32, two otherwise.  Its two loops
@@ -242,10 +237,11 @@ def _mt_block(s: np.ndarray, n_words: int, mt: np.ndarray, tmp: np.ndarray) -> n
     """
     if n_words > _MT_N - _MT_M:
         raise ValueError(f"at most {_MT_N - _MT_M} outputs per seed, got {n_words}")
-    mt[:] = _MT_INIT[:, None]
+    mt = np.repeat(_MT_INIT[:, None], len(stream_seeds), axis=1)
+    tmp = np.empty(len(stream_seeds), dtype=np.uint32)
     rows = list(mt)
-    low = (s & 0xFFFFFFFF).astype(np.uint32)
-    high = (s >> 32).astype(np.uint32)
+    low = (stream_seeds & 0xFFFFFFFF).astype(np.uint32)
+    high = (stream_seeds >> 32).astype(np.uint32)
     keys = (low, np.where(high > 0, high + np.uint32(1), low))
     i = 1
     for t in range(_MT_N):
@@ -270,19 +266,6 @@ def _mt_block(s: np.ndarray, n_words: int, mt: np.ndarray, tmp: np.ndarray) -> n
     y ^= (y << 15) & 0xEFC60000
     y ^= y >> 18
     return y
-
-
-def _mt_outputs(stream_seeds: np.ndarray, n_words: int) -> np.ndarray:
-    """The first n_words 32-bit outputs of ``random.Random(s)`` for each
-    stream seed s < 2^64, one column per seed, by ``_mt_block`` on one state
-    of ``_SEED_CHUNK`` seeds at a time."""
-    out = np.empty((n_words, len(stream_seeds)), dtype=np.uint32)
-    state = np.empty((_MT_N, min(len(stream_seeds), _SEED_CHUNK)), dtype=np.uint32)
-    tmp = np.empty(state.shape[1], dtype=np.uint32)
-    for a in range(0, len(stream_seeds), _SEED_CHUNK):
-        s = stream_seeds[a:a + _SEED_CHUNK]
-        out[:, a:a + len(s)] = _mt_block(s, n_words, state[:, :len(s)], tmp[:len(s)])
-    return out
 
 
 def _mt_random(stream_seeds: np.ndarray, n_draws: int) -> np.ndarray:
@@ -310,19 +293,19 @@ def _sample_chunk(table: RowTable, start: int, stop: int, n_steps: int,
     unsigned dtype that holds the table width.  ``_replay`` turns choices
     into tiles.
 
-    Each block of ``_STEP_BLOCK`` paths takes its draws from ``_mt_random``
-    and steps through the table at once, so the scratch is one block's words
-    and draws and does not grow with the path count.
+    Each block of ``BLOCK`` paths takes its draws from one ``_mt_random``
+    call and steps through the table at once, so the scratch is one block's
+    seeding state, words and draws and does not grow with the path count.
     """
     m, width = stop - start, table.thresholds.shape[1]
     seeds = _stream_seeds(seed, start, stop)
     choices = np.empty((n_steps, m), dtype=np.min_scalar_type(width - 1))
     # the last column is inf throughout
     thresholds, next_row = table.thresholds.T[:-1], table.next_row.ravel()
-    for a in range(0, m, _STEP_BLOCK):
-        draws = _mt_random(seeds[a:a + _STEP_BLOCK], n_steps)
+    for a in range(0, m, BLOCK):
+        draws = _mt_random(seeds[a:a + BLOCK], n_steps)
         row = np.zeros(draws.shape[1], dtype=np.int64)       # the root's
-        for r, choice in zip(draws, choices[:, a:a + _STEP_BLOCK]):
+        for r, choice in zip(draws, choices[:, a:a + BLOCK]):
             choice[:] = 0
             for column in thresholds:
                 choice += column[row] <= r
@@ -338,14 +321,16 @@ def _replay(table: RowTable, choices: np.ndarray, indices: np.ndarray,
     step s + 1 to ``indices[s]`` and, when ``levels`` is an array, its level
     to ``levels[s]``.  From the level-n tile indexed i, column c of its row
     k leads to the tile indexed (d^r i + offset) mod d^(n + r),
-    r = ``table.steps[k, c]``; one step serves every radius."""
+    r = ``table.steps[k, c]``; one step serves every radius, ``BLOCK`` paths
+    at a time, with d^r read per entry."""
     d, width = table.degree, table.steps.shape[1]
     steps, offsets, next_row = table.steps.ravel(), table.offsets.ravel(), table.next_row.ravel()
+    scales = (d ** table.steps).ravel()
     n_steps, m = choices.shape
     sizes = np.array([d**n for n in range(n_steps * int(table.steps.max()) + 1)],
                      dtype=indices.dtype)
-    for a in range(0, m, _STEP_BLOCK):
-        b = min(a + _STEP_BLOCK, m)
+    for a in range(0, m, BLOCK):
+        b = min(a + BLOCK, m)
         i = np.zeros(b - a, dtype=indices.dtype)
         n = np.zeros(b - a, dtype=np.int64)
         row = np.zeros(b - a, dtype=np.int64)       # the root's
@@ -353,7 +338,7 @@ def _replay(table: RowTable, choices: np.ndarray, indices: np.ndarray,
             at = row * width + choice
             row = next_row[at]
             n = n + steps[at]
-            i = (d ** steps[at] * i + offsets[at]) % sizes[n]
+            i = (scales[at] * i + offsets[at]) % sizes[n]
             indices[step, a:b] = i
             if levels is not None:
                 levels[step, a:b] = n
@@ -378,11 +363,11 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
     back only the stream seeds and the column each step chose, one byte per
     step for tables up to 256 wide.  The choices are replayed here through
     the same table (``_replay``) into the preallocated arrays of the result,
-    so apart from that result the memory is a few fixed-size blocks.
+    so apart from that result the memory is one block of ``BLOCK`` paths.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    # a step draws two 32-bit outputs, and _mt_block gives at most 227 per seed
+    # a step draws two 32-bit outputs, and _mt_outputs gives at most 227 per seed
     if n_steps > (_MT_N - _MT_M) // 2:
         raise ValueError(f"n_steps must be <= {(_MT_N - _MT_M) // 2}, got {n_steps}")
     if n_steps * kernel.radius > kernel.depth_limit:
@@ -445,8 +430,10 @@ class DriftReport:
 
 
 def drift_exact(kernel: Kernel) -> Fraction:
-    """E|Z_1| = sum_w P(o,w) |w|; the level increments away from the root are
-    i.i.d. copies by equivariance, so this is the almost-sure level drift."""
+    """E|Z_1| = sum_w P(o,w) |w|, the root row's mean level step.  It is the
+    almost-sure level drift only when every class row has the root row's mean
+    level step, as for ``p_x``, where every step is one level; where they
+    differ, the drift is the class rows' mean step under their stationary law."""
     return sum((p * w.level for w, p in kernel.outgoing(ROOT)), Fraction(0))
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .kernels import Kernel, LevelOverflowError, doubling_weights, index_dtype, value_dtype
+from .kernels import BLOCK, Kernel, LevelOverflowError, doubling_weights, index_dtype, value_dtype
 from .symbolic import ROOT, TileInterval, Word
 
 
@@ -190,11 +190,6 @@ def hitting_vector(kernel: Kernel, target: Word) -> dict[Word, Fraction]:
     return values
 
 
-# targets whose backward DP and Python-integer join run at once: the scratch
-# of a block is fixed, whatever the batch
-_TARGET_BLOCK = 16_384
-
-
 def root_numerators(kernel: Kernel, indices, level: int) -> tuple[list[int], int]:
     """Q^level F(o, t) for the level-``level`` tiles t indexed ``indices``,
     and Q: a forward table from the root, no larger than the batch and in
@@ -202,8 +197,8 @@ def root_numerators(kernel: Kernel, indices, level: int) -> tuple[list[int], int
     levels k .. k + R - 1, where every path has its first tile past k - 1.
 
     The split level and the forward table come from the whole batch; the
-    backward DP and the join run ``_TARGET_BLOCK`` targets at a time, so
-    past the returned numerators the memory does not grow with the batch.
+    backward DP and the Python-integer join run ``BLOCK`` targets at a time,
+    so past the returned numerators the memory does not grow with the batch.
     """
     d, q, radius = kernel.realization.degree, kernel.scale, kernel.radius
     targets = np.asarray(indices, dtype=index_dtype(d, level))
@@ -218,8 +213,8 @@ def root_numerators(kernel: Kernel, indices, level: int) -> tuple[list[int], int
             dense[l] = np.zeros(d**l, dtype=dtype)
             dense[l][cells.astype(np.int64)] = values
     nums: list[int] = []
-    for a in range(0, len(targets), _TARGET_BLOCK):
-        block = targets[a:a + _TARGET_BLOCK]
+    for a in range(0, len(targets), BLOCK):
+        block = targets[a:a + BLOCK]
         total = np.zeros(len(block), dtype=dtype)
         for l, lo, band in _backward(kernel, level, block, k):
             if l in dense:

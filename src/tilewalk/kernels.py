@@ -86,6 +86,11 @@ def value_dtype(bound: int):
     return np.int64 if bound <= np.iinfo(np.int64).max else object
 
 
+# paths or targets per array pass of the Monte Carlo pipeline: on a 2 vCPU
+# Xeon, seeding 1e5 streams took 0.28 s at 8192 a pass, 0.34 s at 4096
+BLOCK = 8192
+
+
 @dataclass(frozen=True)
 class RowTable:
     """A kernel's positive transitions in row order, one padded line per
@@ -537,13 +542,19 @@ def load_table_spec(lines: Iterable[str]) -> TableSpec:
         if not line or line.startswith("#"):
             continue
         if line.startswith("base_level"):
-            _, _, value = line.partition("=")
-            base_level = int(value.strip())
+            value = line.partition("=")[2].strip()
+            try:
+                base_level = int(value)
+            except ValueError:
+                raise KernelError(f"line {lineno}: base_level {value!r} is not an integer") from None
             continue
         parts = line.split()
         if len(parts) != 3:
             raise KernelError(f"line {lineno}: expected 'source target p/q'")
-        u, v = parse_word(parts[0]), parse_word(parts[1])
+        try:
+            u, v = parse_word(parts[0]), parse_word(parts[1])
+        except ValueError as exc:
+            raise KernelError(f"line {lineno}: {exc}") from None
         num, _, den = parts[2].partition("/")
         try:
             p = Fraction(int(num), int(den) if den else 1)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from tilewalk.cli import (
+    COMMANDS,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_PROPERTY,
@@ -143,6 +144,22 @@ def test_green_refuses_malformed_tables(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text.replace("base_level = 2", "base_level = x"),
+     "error: line 2: base_level 'x' is not an integer\n"),
+    (lambda text: text.replace("o\t0\t4/15", "o\t3x\t4/15"), "error: line 3: not a word: '3x'\n"),
+], ids=["base-level", "word"])
+def test_green_names_the_bad_table_line(tmp_path, capsys, edit, message):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(_table_scenario(tmp_path).text)
+    table = tmp_path / "table.tsv"
+    table.write_text(edit(table.read_text()))
+    assert main(["green", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == \
+        EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == message
 
 
 def test_fmt_real():
@@ -312,6 +329,56 @@ def test_table_scenario_exact_bodies(tmp_path):
     assert len(body) == 904
     assert _digest("\n".join(body)) == \
         "35f94493c1d4fd1799e62ad6fef1d2048c24af98c1a1f344f5b6449e3e9414ef"
+
+
+@pytest.mark.parametrize("command,output", [("classify", "classify.tsv"),
+                                            ("demo-doubling", "demo.tsv")])
+def test_doubling_commands_refuse_table_scenarios(tmp_path, capsys, command, output):
+    # both read only kernel.x; on a table they would report on p_{1/4}
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(_table_scenario(tmp_path).text)
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: kernel.table: ")
+    assert not (out / output).exists()
+
+
+# a radius-2 table: every row above the root steps +1 with 1/2 and +2 with 1/2
+RADIUS_2_TABLE = """\
+base_level = 1
+o 0 1/2
+o 1 1/2
+0 11 1/8
+0 00 1/8
+0 01 1/8
+0 10 1/8
+0 001 1/2
+1 01 1/8
+1 10 1/8
+1 11 1/8
+1 00 1/8
+1 101 1/2
+"""
+
+
+def test_radius_2_table_through_every_command(tmp_path, capsys):
+    table = tmp_path / "radius2.tbl"
+    table.write_text(RADIUS_2_TABLE)
+    scenario = tmp_path / "radius2.scn"
+    scenario.write_text(f"system.degree = 2\nkernel.table = {table}\n"
+                        "run.n_paths = 2000\nrun.n_steps = 20\nrun.bin_level = 8\n"
+                        'run.window_level = 3\nrun.trace_level = 20\nrun.targets = "1/2"\n')
+    # checks: the cylinder identities fail for this root row; classify and
+    # demo-doubling refuse tables
+    expected = dict.fromkeys(COMMANDS, EXIT_OK) | {
+        "checks": EXIT_PROPERTY, "classify": EXIT_VALIDATION, "demo-doubling": EXIT_VALIDATION}
+    for command in COMMANDS:
+        rc = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
+                   "--workers", "1"])
+        assert rc == expected[command], command
+        assert "Traceback" not in capsys.readouterr().err, command
 
 
 @pytest.mark.parametrize("family", ["doubling_px", "table"])

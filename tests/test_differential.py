@@ -54,6 +54,7 @@ from tilewalk.green_martin import (
 )
 from tilewalk.kernels import (
     AssumptionResult,
+    BLOCK,
     LiftAmbiguityError,
     TableSpec,
     _arc_gap,
@@ -205,7 +206,7 @@ def test_mt_outputs_refuse_words_the_first_twist_replaces():
 
 
 def test_uniforms_match_per_path_streams_across_chunks():
-    start, stop = 3, 3 + ergodics._SEED_CHUNK + 5
+    start, stop = 3, 3 + BLOCK + 5
     seeds, draws = _uniforms(17, start, stop, 64)
     assert seeds.tolist() == [_stream_seed(17, p) for p in range(start, stop)]
     for row, s in enumerate(seeds.tolist()):
@@ -216,7 +217,7 @@ def test_uniforms_match_per_path_streams_across_chunks():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_sampler_matches_reference_loop_across_chunks(workers):
     # every worker seeds more than one chunk of paths
-    n_paths = 3 * ergodics._SEED_CHUNK + 7
+    n_paths = 3 * BLOCK + 7
     k = doubling_kernel(F(3, 5))
     samples = sample_paths(k, n_paths, 4, seed=13, workers=workers)
     assert _rows(samples) == _reference_paths(k.x, n_paths, 4, 13, _reference_doubling)
@@ -1160,14 +1161,12 @@ def test_core_root_numerators_match_hitting_vector(name, data):
 
 
 def test_root_numerators_across_a_target_block_match_hitting_vector():
-    from tilewalk import green_martin
-
     # one target more than a block, drawn from 200 level-20 tiles, so the
     # backward DP runs below a split level and the last block holds one target
     k, m = doubling_kernel(F(3, 5)), 20
     rng = np.random.default_rng(4)
     tiles = rng.integers(0, 2**m, 200)
-    idx = tiles[rng.integers(0, len(tiles), green_martin._TARGET_BLOCK + 1)]
+    idx = tiles[rng.integers(0, len(tiles), BLOCK + 1)]
     nums, q = root_numerators(k, idx, m)
     exact = {i: hitting_vector(k, Word.from_index(i, m, 2)).get(ROOT, F(0))
              for i in tiles.tolist()}
@@ -1193,7 +1192,7 @@ def test_pooled_sampling_matches_one_process_across_blocks(name, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda **kw: pools.append(kw) or pool_class(**kw))
     n_paths = ergodics.POOL_MIN_PATHS + 7
-    assert n_paths % ergodics._SEED_CHUNK and n_paths % ergodics._STEP_BLOCK
+    assert n_paths % BLOCK
     one = sample_paths(k, n_paths, 6, seed=7, workers=1)
     pooled = sample_paths(k, n_paths, 6, seed=7, workers=3)
     assert pools == [{"max_workers": 3}]
@@ -1205,7 +1204,7 @@ def test_pooled_sampling_matches_one_process_across_blocks(name, monkeypatch):
 def test_sampler_matches_reference_loop_across_step_blocks(name, n_steps):
     # the last 3 paths draw from a second _mt_random call and replay in a
     # second block; far-reach steps one or two levels at a time
-    n_paths = ergodics._STEP_BLOCK + 3
+    n_paths = BLOCK + 3
     if name == "x=3/5":
         k = doubling_kernel(F(3, 5))
         ref = _reference_paths(k.x, n_paths, n_steps, 11, _reference_doubling)

@@ -6,6 +6,7 @@ import pytest
 
 from tilewalk.symbolic import ROOT, CircleRealization, Word, parse_word
 from tilewalk.kernels import (
+    BLOCK,
     LevelOverflowError,
     TableSpec,
     doubling_kernel,
@@ -82,7 +83,7 @@ def test_pooled_sampling_matches_one_process(kernel, workers, n_steps, monkeypat
                         lambda **kw: pools.append(kw) or pool_class(**kw))
     # each worker seeds more than one chunk of streams
     n_paths = ergodics.POOL_MIN_PATHS
-    assert n_paths // workers > ergodics._SEED_CHUNK
+    assert n_paths // workers > BLOCK
     one = sample_paths(kernel, n_paths, n_steps, seed=7, workers=1)
     assert pools == []
     pooled = sample_paths(kernel, n_paths, n_steps, seed=7, workers=workers)
@@ -353,23 +354,22 @@ def _scratch_bytes(fn, *args) -> int:
 
 def test_sample_paths_scratch_does_not_grow_with_the_path_count():
     k = doubling_kernel(F(3, 5))
-    n = 3 * ergodics._STEP_BLOCK
+    n = 3 * BLOCK
     sample_paths(k, 100, 30, seed=5)
     grown = (_scratch_bytes(sample_paths, k, 2 * n, 30, 5)
              - _scratch_bytes(sample_paths, k, n, 30, 5))
     # one block's scratch: a float64 draw per step for each path of a block
-    assert grown < ergodics._STEP_BLOCK * 30 * 8
+    assert grown < BLOCK * 30 * 8
 
 
 def test_root_numerators_scratch_does_not_grow_with_the_batch():
-    from tilewalk import green_martin
     from tilewalk.green_martin import root_numerators
 
     k = doubling_kernel(F(3, 5))
-    n = 3 * green_martin._TARGET_BLOCK
+    n = 3 * BLOCK
     targets = np.random.default_rng(0).integers(0, 2**30, 2 * n)
     root_numerators(k, targets[:100], 30)
     grown = (_scratch_bytes(root_numerators, k, targets, 30)
              - _scratch_bytes(root_numerators, k, targets[:n], 30))
     # one block's scratch: an int64 per level for each target of a block
-    assert grown < green_martin._TARGET_BLOCK * 30 * 8
+    assert grown < BLOCK * 30 * 8

@@ -326,6 +326,16 @@ def test_table_parse_rejects_bad_probabilities(prob):
         load_table_spec(["base_level = 0", "o 0 1/2", f"o 1 {prob}"])
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["# header", "base_level = x"], "line 2: base_level 'x' is not an integer"),
+    (["base_level = 0", "o 3x 1/2", "o 1 1/2"], "line 2: not a word: '3x'"),
+    (["base_level = 0", "o 0 1/2", "a 1 1/2"], "line 3: not a word: 'a'"),
+], ids=["base-level", "target", "source"])
+def test_table_parse_names_the_bad_line(lines, message):
+    with pytest.raises(KernelError, match=f"^{re.escape(message)}$"):
+        load_table_spec(lines)
+
+
 @pytest.mark.parametrize("make", [
     lambda g: doubling_kernel(F(1, 4), g),
     lambda g: extend_by_equivariance(doubling_table_spec(F(3, 5), 2), g),
