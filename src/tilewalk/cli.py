@@ -12,7 +12,6 @@ failure, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import random
@@ -58,6 +57,7 @@ from .ergodics import (
     green_drift_estimate,
     quasi_invariance_check,
     sample_paths,
+    sha256,
 )
 
 EXIT_OK = 0
@@ -140,7 +140,7 @@ class Scenario:
         """Hash of the resolved fields, overrides included; the text itself
         (comments, key order) does not enter."""
         resolved = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "text"}
-        return hashlib.sha256(repr(resolved).encode()).hexdigest()[:16]
+        return sha256(repr(resolved).encode()).hexdigest()[:16]
 
 
 def _parse_fraction(raw: str, key: str, problems: list[str]) -> Fraction | None:
@@ -611,6 +611,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--x", default=None,
                         help='kernel parameter "p/q" (classify/demo)')
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     try:
         scenario = load_scenario(args.scenario)

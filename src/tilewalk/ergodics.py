@@ -14,7 +14,6 @@ arithmetic; logarithms and bin masses are the only floating-point outputs.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
@@ -35,6 +34,17 @@ from .kernels import (
     shift_pushforward,
 )
 from .symbolic import ROOT, Word
+
+# SHA-256 for the stream seeds and the scenario hash.  The stdlib's hash
+# module loads OpenSSL's libcrypto (3.6 MB of RSS per process), so try the
+# interpreter's built-in module first, as the stdlib's random does for sha512.
+try:
+    from _sha256 import sha256  # CPython 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 
 def frac_log(fr: Fraction) -> float:
@@ -94,7 +104,7 @@ class PathSample:
 
 
 def _stream_seed(seed: int, path_index: int) -> int:
-    digest = hashlib.sha256(f"tilewalk:{seed}:{path_index}".encode()).digest()
+    digest = sha256(f"tilewalk:{seed}:{path_index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -185,7 +195,7 @@ class PathSamples(Sequence):
 def _stream_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     """``_stream_seed(seed, p)`` for p in start..stop-1, each hash continuing
     one shared hash of the prefix ``tilewalk:{seed}:``."""
-    prefix = hashlib.sha256(f"tilewalk:{seed}:".encode())
+    prefix = sha256(f"tilewalk:{seed}:".encode())
     digests = bytearray()
     for p in range(start, stop):
         h = prefix.copy()

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -363,22 +364,33 @@ o 1 1/2
 """
 
 
-def test_radius_2_table_through_every_command(tmp_path, capsys):
+# the same table with the root row set to its level-1 rows' shift-pushforward
+RADIUS_2_SHIFT_TABLE = RADIUS_2_TABLE.replace("o 0 1/2\no 1 1/2\n",
+                                              "o 0 1/4\no 1 1/4\no 01 1/2\n")
+
+
+# checks: the cylinder identities fail for the first root row and hold for the
+# shift-pushforward one; classify and demo-doubling refuse tables
+@pytest.mark.parametrize("table_text,checks_rc,cylinder_row", [
+    (RADIUS_2_TABLE, EXIT_PROPERTY, "cylinder_invariance\tFAIL\t36 cylinders"),
+    (RADIUS_2_SHIFT_TABLE, EXIT_OK, "cylinder_invariance\tok\t54 cylinders"),
+], ids=["uniform-root", "shift-root"])
+def test_radius_2_table_through_every_command(tmp_path, capsys, table_text, checks_rc,
+                                              cylinder_row):
     table = tmp_path / "radius2.tbl"
-    table.write_text(RADIUS_2_TABLE)
+    table.write_text(table_text)
     scenario = tmp_path / "radius2.scn"
     scenario.write_text(f"system.degree = 2\nkernel.table = {table}\n"
                         "run.n_paths = 2000\nrun.n_steps = 20\nrun.bin_level = 8\n"
                         'run.window_level = 3\nrun.trace_level = 20\nrun.targets = "1/2"\n')
-    # checks: the cylinder identities fail for this root row; classify and
-    # demo-doubling refuse tables
     expected = dict.fromkeys(COMMANDS, EXIT_OK) | {
-        "checks": EXIT_PROPERTY, "classify": EXIT_VALIDATION, "demo-doubling": EXIT_VALIDATION}
+        "checks": checks_rc, "classify": EXIT_VALIDATION, "demo-doubling": EXIT_VALIDATION}
     for command in COMMANDS:
         rc = main([command, "--scenario", str(scenario), "--out", str(tmp_path / "o"),
                    "--workers", "1"])
         assert rc == expected[command], command
         assert "Traceback" not in capsys.readouterr().err, command
+    assert cylinder_row in (tmp_path / "o" / "checks.tsv").read_text().splitlines()
 
 
 @pytest.mark.parametrize("family", ["doubling_px", "table"])
@@ -449,6 +461,15 @@ def test_main_bad_x(tmp_path):
     assert main(["demo-doubling", "--x", "7/5", "--out", str(tmp_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_refuses_workers_below_1(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(SUPERCRITICAL), "--out", str(out),
+                 "--workers", workers]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_main_bad_scenario(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("who.knows = 3\n")
@@ -482,6 +503,20 @@ def test_scenario_hash_covers_overrides(tmp_path):
     # the text is not hashed, only what it resolves to
     assert parse_scenario(SMALL).hash == parse_scenario("# note\n" + SMALL).hash
     assert parse_scenario(SMALL).hash != parse_scenario(SMALL + "run.seed = 2\n").hash
+
+
+@pytest.mark.parametrize("x", [None, "3/5"])
+def test_scenario_hash_is_sha256_of_the_resolved_fields(tmp_path, x):
+    # hashlib is the reference: the CLI hashes with the interpreter's built-in module
+    argv = ["green", "--scenario", str(REFERENCE), "--out", str(tmp_path)]
+    scenario = parse_scenario(REFERENCE.read_text())
+    if x is not None:
+        argv += ["--x", x]
+        scenario.x, scenario.x_grid = F(x), []
+    resolved = {f.name: getattr(scenario, f.name) for f in fields(scenario) if f.name != "text"}
+    assert main(argv) == EXIT_OK
+    assert _header(tmp_path / "green_o.tsv", "scenario_hash") == \
+        hashlib.sha256(repr(resolved).encode()).hexdigest()[:16]
 
 
 def test_classify_classifies_each_parameter_once(tmp_path, monkeypatch):
@@ -550,6 +585,23 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == "False"
+
+
+def test_commands_leave_openssl_and_numpy_random_unloaded(tmp_path):
+    # libcrypto (through _hashlib) and numpy.random each add megabytes to every process
+    import tilewalk
+
+    src = str(Path(tilewalk.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            "from tilewalk.cli import parse_scenario, run_command\n"
+            "for command in ('green', 'simulate'):\n"
+            "    scenario = parse_scenario(open(sys.argv[1]).read())\n"
+            "    assert run_command(command, scenario, sys.argv[2], workers=1) == 0\n"
+            "print('_hashlib' in sys.modules, 'numpy.random' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, str(REFERENCE), str(tmp_path)],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.splitlines()[-1] == "False False"
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])

@@ -8,6 +8,7 @@ Martin window reads and the path-space invariance check against per-path,
 per-vertex and per-cylinder reference code, the Word/Fraction DPs kept here,
 the Fraction tile geometry, the lift itself and explicit path enumeration."""
 
+import hashlib
 import math
 import random
 import re
@@ -26,6 +27,7 @@ from tilewalk.ergodics import (
     _mt_outputs,
     _mt_random,
     _stream_seed,
+    _stream_seeds,
     _uniforms,
     cylinder_invariance_check,
     empirical_harmonic_measure,
@@ -212,6 +214,16 @@ def test_uniforms_match_per_path_streams_across_chunks():
     for row, s in enumerate(seeds.tolist()):
         rng = random.Random(s)
         assert draws[row].tolist() == [rng.random() for _ in range(64)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 7])
+def test_stream_seeds_are_sha256_of_the_path_label(seed):
+    # hashlib is the reference: the sampler hashes with the interpreter's built-in module
+    for start, stop in ((0, 3), (8, 12), (10**6 - 2, 10**6 + 2)):
+        expected = [int.from_bytes(hashlib.sha256(f"tilewalk:{seed}:{p}".encode()).digest()[:8],
+                                   "big") for p in range(start, stop)]
+        assert _stream_seeds(seed, start, stop).tolist() == expected
+        assert [_stream_seed(seed, p) for p in range(start, stop)] == expected
 
 
 @pytest.mark.parametrize("workers", [1, 3])
