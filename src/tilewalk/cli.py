@@ -138,7 +138,8 @@ class Scenario:
     @property
     def hash(self) -> str:
         """Hash of the resolved fields, overrides included; the text itself
-        (comments, key order) does not enter."""
+        (comments, key order) does not enter.  The output header of a table
+        scenario hashes this with the table file's bytes."""
         resolved = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "text"}
         return sha256(repr(resolved).encode()).hexdigest()[:16]
 
@@ -211,6 +212,9 @@ def parse_scenario(document: str) -> Scenario:
             problems.append("kernel.family doubling_px requires system.degree = 2")
     if scn.table_path and not Path(scn.table_path).exists():
         problems.append(f"kernel.table: no such file {scn.table_path!r}")
+    if scn.kernel_family == "table" and scn.degree > 10:
+        problems.append(f"kernel.table: a table file holds symbols 0-9 only, "
+                        f"system.degree {scn.degree} needs more")
     for key, cap in _CAPS.items():
         if getattr(scn, _KEYS[key][0]) > cap:
             problems.append(f"{key}: exceeds cap {cap}")
@@ -255,23 +259,29 @@ class OutputWriter:
         self.scenario = scenario
         self.command = command
         self.seed = seed
+        # a table file is read once, here: the header's hash covers the bytes
+        # that _build_kernel parses
+        self.table = (Path(scenario.table_path).read_bytes()
+                      if scenario.kernel_family == "table" else None)
+        self.scenario_hash = (scenario.hash if self.table is None else
+                              sha256(scenario.hash.encode() + self.table).hexdigest()[:16])
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def open(self, name: str):
         fh = (self.out_dir / name).open("w")
         fh.write(f"# tilewalk v{__version__}\n")
         fh.write(f"# command = {self.command}\n")
-        fh.write(f"# scenario_hash = {self.scenario.hash}\n")
+        fh.write(f"# scenario_hash = {self.scenario_hash}\n")
         fh.write(f"# seed = {self.seed}\n")
         return fh
 
 
-def _build_kernel(scn: Scenario, graph=None):
-    if scn.kernel_family == "doubling_px":
+def _build_kernel(out: OutputWriter, graph=None):
+    scn = out.scenario
+    if out.table is None:
         kernel = doubling_kernel(scn.x, graph)
     else:
-        with open(scn.table_path) as fh:
-            spec = load_table_spec(fh)
+        spec = load_table_spec(out.table.decode().splitlines())
         kernel = extend_by_equivariance(spec, graph, CircleRealization(scn.degree))
     if scn.base_level is not None and scn.base_level != kernel.base_level:
         raise ScenarioError([f"kernel.base_level: scenario gives {scn.base_level}, "
@@ -293,7 +303,7 @@ def _cmd_build(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 def _cmd_validate(scn: Scenario, out: OutputWriter, workers: int) -> int:
     graph = build_graph(CircleRealization(scn.degree), scn.max_level)
-    kernel = _build_kernel(scn, graph)
+    kernel = _build_kernel(out, graph)
     report = validate_assumptions(kernel)
     rows = [
         ("row_sums", report.row_sums.ok, report.row_sums.witness),
@@ -315,7 +325,7 @@ def _cmd_validate(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 
 def _cmd_green(scn: Scenario, out: OutputWriter, workers: int) -> int:
-    kernel = _build_kernel(scn)
+    kernel = _build_kernel(out)
     table = green_table(kernel, ROOT, scn.max_level)
     with out.open("green_o.tsv") as fh:
         n = write_green_table(table, fh)
@@ -324,7 +334,7 @@ def _cmd_green(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 
 def _cmd_martin(scn: Scenario, out: OutputWriter, workers: int) -> int:
-    kernel = _build_kernel(scn)
+    kernel = _build_kernel(out)
     with out.open("martin.tsv") as fh:
         fh.write("target\tray_offset\tlevel\twindow_word\tkernel_value\n")
         for xi in scn.targets:
@@ -370,7 +380,7 @@ def _cmd_classify(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 
 def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
-    kernel = _build_kernel(scn)
+    kernel = _build_kernel(out)
     samples = sample_paths(kernel, scn.n_paths, scn.n_steps, scn.seed, workers)
     with out.open("samples.tsv") as fh:
         fh.write("path\tstream_seed\tfinal_word\tmidpoint\n")
@@ -401,7 +411,7 @@ def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 
 def _cmd_dimension(scn: Scenario, out: OutputWriter, workers: int) -> int:
-    kernel = _build_kernel(scn)
+    kernel = _build_kernel(out)
     samples = sample_paths(kernel, scn.n_paths, scn.n_steps, scn.seed, workers)
     drift = green_drift_estimate(kernel, samples)
     measure = empirical_harmonic_measure(samples, scn.bin_level)
@@ -449,7 +459,7 @@ def _cmd_checks(scn: Scenario, out: OutputWriter, workers: int) -> int:
     """Aggregate exact-arithmetic property suites; any violation fails."""
     realization = CircleRealization(scn.degree)
     graph = build_graph(realization, max(scn.max_level, 6))
-    kernel = _build_kernel(scn, graph)
+    kernel = _build_kernel(out, graph)
     results: list[tuple[str, bool, str]] = []
 
     report = validate_assumptions(kernel)
@@ -576,18 +586,21 @@ def run_command(name: str, scenario: Scenario, out_dir: str | Path = "out",
     """Run one sub-command; returns the process exit status."""
     if name not in _HANDLERS:
         raise ValueError(f"unknown command {name!r}")
-    if seed is not None:
-        scenario.seed = seed
-    if x is not None:
-        # the parameter given on the command line replaces the scenario's grid
-        scenario.x = x
-        scenario.x_grid = []
-    writer = OutputWriter(Path(out_dir), scenario, name, scenario.seed)
     try:
+        if x is not None and scenario.kernel_family == "table":
+            raise ValueError("kernel.table: --x sets kernel.x, which a table kernel "
+                             "does not read")
         # both read only kernel.x: what they report is the doubling family's boundary
         if name in ("classify", "demo-doubling") and scenario.kernel_family == "table":
             raise ValueError(f"kernel.table: {name} reads only kernel.x; "
                              f"it does not take a table kernel")
+        if seed is not None:
+            scenario.seed = seed
+        if x is not None:
+            # the parameter given on the command line replaces the scenario's grid
+            scenario.x = x
+            scenario.x_grid = []
+        writer = OutputWriter(Path(out_dir), scenario, name, scenario.seed)
         return _HANDLERS[name](scenario, writer, workers)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ arithmetic; logarithms and bin masses are the only floating-point outputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections.abc import Sequence
@@ -367,13 +366,15 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
     Path p draws from its own Mersenne Twister stream, the one
     ``random.Random(_stream_seed(seed, p))`` produces, so the result is
     bit-reproducible for fixed (seed, n_paths, n_steps) no matter how many
-    workers split the index range.  Each worker (or this process, for one
-    worker or few paths) draws the streams of its paths in numpy
-    (``_mt_random``) and steps them through the kernel's row table, sending
-    back only the stream seeds and the column each step chose, one byte per
-    step for tables up to 256 wide.  The choices are replayed here through
-    the same table (``_replay``) into the preallocated arrays of the result,
-    so apart from that result the memory is one block of ``BLOCK`` paths.
+    workers split the index range.  The paths form one chunk per worker,
+    with at most one worker per ``BLOCK`` paths and one below
+    ``POOL_MIN_PATHS``.  A chunk's streams are drawn in numpy (``_mt_random``)
+    and stepped through the kernel's row table, here or in a pool process,
+    which sends back only the stream seeds and the column each step chose,
+    one byte per step for tables up to 256 wide.  Once every chunk is back
+    the result is allocated and the choices are replayed through the same
+    table (``_replay``) into it, so apart from the result the memory is one
+    block of ``BLOCK`` paths.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -385,42 +386,32 @@ def sample_paths(kernel: Kernel, n_paths: int, n_steps: int, seed: int,
             f"{n_steps} steps of radius {kernel.radius} exceed depth limit "
             f"{kernel.depth_limit}")
     table = kernel.table
-    chunks = _sampled_chunks(table, n_paths, n_steps, seed, workers)
-    # the result is allocated once the first chunk is back: in one process
-    # the seeding and stepping buffers are freed by then
-    first = next(chunks)
+    workers = 1 if n_paths < POOL_MIN_PATHS else max(1, min(workers, -(-n_paths // BLOCK)))
+    edges = [n_paths * w // workers for w in range(workers + 1)]
+    spans = list(zip(edges, edges[1:]))
+    if workers == 1:
+        chunks = [_sample_chunk(table, a, b, n_steps, seed) for a, b in spans]
+    else:
+        # processes, not threads: a thread pool lost wall time and RSS at 1e5 paths.
+        # Imported here: only a pooled run pays for loading it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # the table, not the kernel: one with a level-12 graph pickles to 600 KB
+            futures = [pool.submit(_sample_chunk, table, a, b, n_steps, seed) for a, b in spans]
+            chunks = [future.result() for future in futures]
+    # the result is allocated once every chunk is back: in one process the
+    # seeding and stepping buffers are freed by then
     seeds = np.empty(n_paths, dtype=np.uint64)
     indices = np.empty((n_steps, n_paths),
                        dtype=index_dtype(kernel.realization.degree, n_steps * kernel.radius))
     levels = None if kernel.radius == 1 else np.empty((n_steps, n_paths), dtype=np.int64)
-    for a, (chunk_seeds, choices) in itertools.chain([first], chunks):
-        b = a + len(chunk_seeds)
+    for (a, b), (chunk_seeds, choices) in zip(spans, chunks):
         seeds[a:b] = chunk_seeds
         _replay(table, choices, indices[:, a:b], None if levels is None else levels[:, a:b])
     levels = (np.broadcast_to(np.arange(1, n_steps + 1), (n_paths, n_steps))
               if levels is None else levels.T)
     return PathSamples(kernel.realization.degree, np.arange(n_paths), seeds, indices.T, levels)
-
-
-def _sampled_chunks(table: RowTable, n_paths: int, n_steps: int, seed: int, workers: int):
-    """(first path, ``_sample_chunk`` result) for each chunk of the paths, in
-    path order: one chunk in this process for one worker or fewer than
-    ``POOL_MIN_PATHS`` paths, else one per worker from a process pool, each
-    yielded as soon as it and the chunks before it are done."""
-    if workers <= 1 or n_paths < POOL_MIN_PATHS:
-        yield 0, _sample_chunk(table, 0, n_paths, n_steps, seed)
-        return
-    # processes, not threads: a thread pool lost wall time and RSS at 1e5 paths.
-    # Imported here: only a pooled run pays for loading it
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = (n_paths + workers - 1) // workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # the table, not the kernel: one with a level-12 graph pickles to 600 KB
-        futures = {a: pool.submit(_sample_chunk, table, a, min(a + chunk, n_paths), n_steps, seed)
-                   for a in range(0, n_paths, chunk)}
-        for a, future in futures.items():
-            yield a, future.result()
 
 
 # -- drift ----------------------------------------------------------------------

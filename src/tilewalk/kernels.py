@@ -526,6 +526,12 @@ def validate_assumptions(kernel: Kernel, graph: TileGraph | None = None) -> Vali
 
 
 def save_table_spec(spec: TableSpec, out: TextIO):
+    """Write spec in the format ``load_table_spec`` reads.  A word is written
+    as its symbols with no separator, so only symbols 0-9 can be saved."""
+    for u, v, _ in spec.entries:
+        if any(s > 9 for s in u.symbols + v.symbols):
+            raise KernelError(f"{u.symbols} -> {v.symbols}: a table file holds "
+                              f"symbols 0-9 only")
     out.write("# tilewalk kernel table\n")
     out.write(f"base_level = {spec.base_level}\n")
     rows = sorted(spec.entries,

@@ -309,6 +309,48 @@ def _table_scenario(tmp_path, extra=""):
                           f'run.targets = "1/2, 1/3"\n{extra}')
 
 
+@pytest.mark.parametrize("command", ["green", "simulate"])
+def test_x_on_a_table_scenario_exits_2(tmp_path, capsys, command):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(_table_scenario(tmp_path).text)
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(scenario), "--x", "1/3", "--out", str(out),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: kernel.table: --x sets kernel.x, which a table kernel "
+                          "does not read")
+    assert not out.exists()
+
+
+def test_scenario_hash_covers_the_table_bytes(tmp_path):
+    from tilewalk.kernels import doubling_table_spec, save_table_spec
+
+    table = tmp_path / "table.tsv"
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(f"system.degree = 2\nkernel.table = {table}\n")
+    hashes = []
+    for x in (F(1, 4), F(3, 5)):
+        with table.open("w") as fh:
+            save_table_spec(doubling_table_spec(x), fh)
+        out = tmp_path / f"o{x.numerator}"
+        assert main(["green", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        hashes.append(_header(out / "green_o.tsv", "scenario_hash"))
+    assert hashes[0] != hashes[1]
+
+
+def test_table_scenario_refuses_degrees_above_10(tmp_path, capsys):
+    # a table file writes each symbol as one digit
+    table = tmp_path / "table.tsv"
+    table.write_text("base_level = 0\n" + "".join(f"o\t{s}\t1/10\n" for s in range(10)))
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(f"system.degree = 11\nkernel.table = {table}\n")
+    assert main(["green", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == \
+        EXIT_VALIDATION
+    assert capsys.readouterr().err == ("scenario error: kernel.table: a table file holds "
+                                       "symbols 0-9 only, system.degree 11 needs more\n")
+
+
 def test_table_scenario_exact_bodies(tmp_path):
     assert run_command("validate", _table_scenario(tmp_path), tmp_path / "v") == EXIT_OK
     assert _body(tmp_path / "v" / "validate.tsv") == [

@@ -117,6 +117,44 @@ def test_pool_workers_receive_the_row_table_not_the_kernel(monkeypatch):
         assert not any(isinstance(a, type(kernel)) for a in pickle.loads(payload))
 
 
+def test_pool_workers_are_capped_by_the_path_blocks(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:
+        """Records its arguments and runs each submitted call here, so no
+        process starts."""
+
+        def __init__(self, **kw):
+            pools.append(kw)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    kernel = doubling_kernel(F(3, 5))
+    n_paths = ergodics.POOL_MIN_PATHS
+    assert -(-n_paths // BLOCK) == 4
+    one = sample_paths(kernel, n_paths, 2, seed=7, workers=1)
+    # a count below 1 from a library caller means one process
+    assert np.array_equal(sample_paths(kernel, n_paths, 2, seed=7, workers=0).indices,
+                          one.indices)
+    assert pools == []
+    pooled = sample_paths(kernel, n_paths, 2, seed=7, workers=64)
+    assert pools == [{"max_workers": 4}]
+    for name in ("path_index", "stream_seed", "indices", "levels"):
+        assert np.array_equal(getattr(one, name), getattr(pooled, name)), name
+
+
 def test_sampling_depth_guard():
     k = doubling_kernel(F(1, 3), depth_limit=10)
     with pytest.raises(LevelOverflowError):

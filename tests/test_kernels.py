@@ -313,6 +313,15 @@ def test_table_roundtrip():
     assert set(loaded.entries) == set(spec.entries)
 
 
+def test_table_save_refuses_symbols_it_cannot_write():
+    # words are written with no separator: o -> (10,) would read back as o -> (1, 0)
+    spec = TableSpec(0, ((ROOT, Word((10,)), F(1)),))
+    buf = io.StringIO()
+    with pytest.raises(KernelError, match="symbols 0-9 only"):
+        save_table_spec(spec, buf)
+    assert buf.getvalue() == ""
+
+
 def test_table_parse_errors():
     with pytest.raises(KernelError, match="base_level"):
         load_table_spec(["o 0 1/2"])
