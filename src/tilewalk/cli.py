@@ -265,9 +265,11 @@ class OutputWriter:
                       if scenario.kernel_family == "table" else None)
         self.scenario_hash = (scenario.hash if self.table is None else
                               sha256(scenario.hash.encode() + self.table).hexdigest()[:16])
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     def open(self, name: str):
+        # the directory is made with the first file, so a command that fails
+        # before it writes leaves no --out behind
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         fh = (self.out_dir / name).open("w")
         fh.write(f"# tilewalk v{__version__}\n")
         fh.write(f"# command = {self.command}\n")
@@ -335,10 +337,11 @@ def _cmd_green(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 def _cmd_martin(scn: Scenario, out: OutputWriter, workers: int) -> int:
     kernel = _build_kernel(out)
+    per_target = [(xi, martin_traces(kernel, xi, scn.window_level, scn.trace_level))
+                  for xi in scn.targets]
     with out.open("martin.tsv") as fh:
         fh.write("target\tray_offset\tlevel\twindow_word\tkernel_value\n")
-        for xi in scn.targets:
-            traces = martin_traces(kernel, xi, scn.window_level, scn.trace_level)
+        for xi, traces in per_target:
             for trace in traces:
                 for k, v in enumerate(trace.ray):
                     vec = trace.vectors[k]
@@ -382,6 +385,8 @@ def _cmd_classify(scn: Scenario, out: OutputWriter, workers: int) -> int:
 def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
     kernel = _build_kernel(out)
     samples = sample_paths(kernel, scn.n_paths, scn.n_steps, scn.seed, workers)
+    measure = empirical_harmonic_measure(samples, scn.bin_level)
+    qi = quasi_invariance_check(measure, kernel)
     with out.open("samples.tsv") as fh:
         fh.write("path\tstream_seed\tfinal_word\tmidpoint\n")
         # a block's words and midpoints are Python strings and integers
@@ -392,12 +397,10 @@ def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
             fh.writelines(f"{p}\t{s}\t{w}\t{num}/{den}\n" for p, s, w, num, den in zip(
                 rows.path_index.tolist(), rows.stream_seed.tolist(),
                 rows.final_words(), nums.tolist(), dens.tolist()))
-    measure = empirical_harmonic_measure(samples, scn.bin_level)
     with out.open("measure.tsv") as fh:
         fh.write("bin\tmass\n")
         for b, mass in enumerate(measure.masses):
             fh.write(f"{b}\t{fmt_real(float(mass))}\n")
-    qi = quasi_invariance_check(measure, kernel)
     with out.open("quasi_invariance.tsv") as fh:
         fh.write(f"level_one_mass\t{fmt_frac(qi.level_one_mass)}\n")
         fh.write(f"exact_identity\t{qi.exact_identity}\n")
@@ -605,7 +608,8 @@ def run_command(name: str, scenario: Scenario, out_dir: str | Path = "out",
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (KernelError, ValueError) as exc:
+    except (KernelError, ValueError, OSError) as exc:
+        # OSError: an --out that cannot be made or written, or an unreadable table
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

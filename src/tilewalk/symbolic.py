@@ -16,9 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# A symbol is a plain partition index in {0, ..., N}.
-Symbol = int
-
 
 @dataclass(frozen=True)
 class Word:

@@ -323,6 +323,41 @@ def test_x_on_a_table_scenario_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _table_with_a_bad_base_level(tmp_path):
+    text = _table_scenario(tmp_path).text
+    table = tmp_path / "table.tsv"
+    table.write_text(table.read_text().replace("base_level = 2", "base_level = x"))
+    return text
+
+
+@pytest.mark.parametrize("command,scenario_text,message", [
+    ("simulate", lambda tmp_path: SMALL + "run.n_steps = 12\nrun.bin_level = 8\n",
+     "error: need n_steps >= bin_level + 10, got depth 12\n"),
+    ("martin", lambda tmp_path: SMALL + "run.trace_level = 6\n",
+     "error: n_max too shallow: "),
+    ("green", _table_with_a_bad_base_level,
+     "error: line 2: base_level 'x' is not an integer\n"),
+], ids=["simulate-after-sampling", "martin-after-the-header", "green-in-the-handler"])
+def test_a_failed_command_leaves_no_out_directory(tmp_path, capsys, command, scenario_text,
+                                                  message):
+    scenario = tmp_path / "s.scn"
+    scenario.write_text(scenario_text(tmp_path))
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(scenario), "--out", str(out),
+                 "--workers", "1"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_an_out_that_cannot_be_made_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("a file, not a directory\n")
+    assert main(["green", "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text() == "a file, not a directory\n"
+
+
 def test_scenario_hash_covers_the_table_bytes(tmp_path):
     from tilewalk.kernels import doubling_table_spec, save_table_spec
 
@@ -658,6 +693,26 @@ def test_import_defaults_openblas_to_one_thread(preset, expected):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**env, "PYTHONPATH": src})
     assert result.stdout.strip() == expected
+
+
+def test_package_import_loads_neither_numpy_nor_a_layer():
+    # the package root holds only the version and the OpenBLAS default
+    import tilewalk
+
+    src = str(Path(tilewalk.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    code = ("import os, sys, tilewalk\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'numpy' or m.startswith(('numpy.', 'tilewalk.'))),\n"
+            "      os.environ['OPENBLAS_NUM_THREADS'])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**env, "PYTHONPATH": src})
+    assert result.stdout.strip() == "[] 1"
+
+
+def test_reference_scenario_file_is_the_built_in_one():
+    assert parse_scenario(REFERENCE.read_text()).hash == \
+        parse_scenario(REFERENCE_SCENARIO).hash
 
 
 def test_classify_x_replaces_scenario_grid(tmp_path):
