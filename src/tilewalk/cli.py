@@ -12,7 +12,6 @@ failure, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import random
 import sys
@@ -40,6 +39,7 @@ from .kernels import (
     validate_assumptions,
 )
 from .green_martin import (
+    aitken_limit,
     brute_force_hitting,
     classify_doubling_boundary,
     green_table,
@@ -56,6 +56,7 @@ from .ergodics import (
     empirical_harmonic_measure,
     green_drift_estimate,
     quasi_invariance_check,
+    require_depth,
     sample_paths,
     sha256,
 )
@@ -240,17 +241,11 @@ def load_scenario(path: str | None) -> Scenario:
 
 def fmt_real(x: float) -> str:
     """Round-half-even at 12 significant digits, '.' decimal separator."""
-    if x != x:
-        return "nan"
-    if x in (math.inf, -math.inf):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".12g")
 
 
 def fmt_frac(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+    return str(fr)
 
 
 class OutputWriter:
@@ -361,16 +356,16 @@ def _cmd_martin(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 def _cmd_classify(scn: Scenario, out: OutputWriter, workers: int) -> int:
     grid = scn.x_grid or [scn.x]
+    # all classified before the file is opened: an error leaves nothing in --out
+    classified = [classify_doubling_boundary(xv) for xv in grid]
+    verdicts = [c.verdict for c in classified]
     with out.open("classify.tsv") as fh:
         fh.write("x\tverdict\teig1\teig2\teig3\tcontraction\tderivative_sup\t"
                  "ratio_limit\tside_growth\n")
-        verdicts = []
-        for xv in grid:
-            c = classify_doubling_boundary(xv)
-            verdicts.append(c.verdict)
+        for c in classified:
             e1, e2, e3 = c.eigen_data.eigenvalues
             fh.write("\t".join([
-                fmt_frac(xv), c.verdict, fmt_frac(e1), fmt_frac(e2), fmt_frac(e3),
+                fmt_frac(c.x), c.verdict, fmt_frac(e1), fmt_frac(e2), fmt_frac(e3),
                 fmt_frac(c.contraction), fmt_frac(c.derivative_sup),
                 ":".join(fmt_frac(t) for t in c.ray_ratio_limit),
                 fmt_frac(c.side_ray_growth),
@@ -384,6 +379,8 @@ def _cmd_classify(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
     kernel = _build_kernel(out)
+    if kernel.radius == 1:      # every path ends at depth n_steps: refused before sampling
+        require_depth(scn.n_steps, scn.bin_level)
     samples = sample_paths(kernel, scn.n_paths, scn.n_steps, scn.seed, workers)
     measure = empirical_harmonic_measure(samples, scn.bin_level)
     qi = quasi_invariance_check(measure, kernel)
@@ -415,6 +412,8 @@ def _cmd_simulate(scn: Scenario, out: OutputWriter, workers: int) -> int:
 
 def _cmd_dimension(scn: Scenario, out: OutputWriter, workers: int) -> int:
     kernel = _build_kernel(out)
+    if kernel.radius == 1:      # every path ends at depth n_steps: refused before sampling
+        require_depth(scn.n_steps, scn.bin_level)
     samples = sample_paths(kernel, scn.n_paths, scn.n_steps, scn.seed, workers)
     drift = green_drift_estimate(kernel, samples)
     measure = empirical_harmonic_measure(samples, scn.bin_level)
@@ -536,33 +535,27 @@ def _cmd_demo_doubling(scn: Scenario, out: OutputWriter, workers: int) -> int:
               martin_traces(kernel, xi, scn.window_level, n_max)}
     left_ray = traces[-2]      # the ray one tile left of 1/2
     side_ray = traces[-1]      # the ray of tiles ending at 1/2
-    anchor_level = scn.window_level
-    cols = [ray_word(xi, anchor_level, off) for off in (-2, -1, 0)]
-    lim = left_ray.limit
-    ratios = None
-    if lim:
+    cols = [ray_word(xi, scn.window_level, off) for off in (-2, -1, 0)]
+    # the row is written only where the limit is exact: Aitken on the three
+    # vectors before the last, under the same anchor, gives it too
+    lim, a, before = left_ray.limit, left_ray.limit_anchor, left_ray.vectors[-4:-1]
+    ratio = ""
+    if lim and len(before) == 3 and all(v[a] for v in before) and all(
+            aitken_limit([v[w] / v[a] for v in before]) == r for w, r in lim.items()):
         raw = [lim[c_] for c_ in cols]
-        top = max(raw)
-        # drop extrapolation residue far below the dominant component
-        raw = [Fraction(0) if top and abs(r) < top * Fraction(1, 10**6) else r
-               for r in raw]
         floor = min((r for r in raw if r > 0), default=Fraction(1))
-        ratios = [r / floor for r in raw]
-    def _ratio_str(rs: list[Fraction]) -> str:
-        if max(r.denominator for r in rs) <= 10**6:
-            return ":".join(fmt_frac(r) for r in rs)
-        return ":".join(fmt_real(float(r)) for r in rs)
+        ratio = ":".join(fmt_frac(r / floor) for r in raw)
 
     with out.open("demo.tsv") as fh:
         fh.write(f"x\t{fmt_frac(xv)}\n")
         fh.write(f"verdict\t{c.verdict}\n")
         fh.write("eigenvalues\t" + ",".join(fmt_frac(e) for e in c.eigen_data.eigenvalues) + "\n")
         fh.write(f"contraction\t{fmt_frac(c.contraction)}\n")
-        if ratios:
-            fh.write("trace_ratio\t" + _ratio_str(ratios) + "\n")
+        if ratio:
+            fh.write(f"trace_ratio\t{ratio}\n")
         if side_ray.growth is not None:
             fh.write(f"side_growth\t{fmt_frac(side_ray.growth)}\n")
-    ratio_str = ("" if not ratios else " ratios " + _ratio_str(ratios))
+    ratio_str = ratio and " ratios " + ratio
     growth_str = ("" if side_ray.growth is None else
                   f" growth {fmt_frac(side_ray.growth)}")
     print(f"demo-doubling: x = {fmt_frac(xv)} -> {c.verdict},{ratio_str},{growth_str}")

@@ -90,10 +90,6 @@ class PathSample:
                                self.degree)
 
     @property
-    def steps(self) -> tuple[Word, ...]:
-        return tuple(self.word(s) for s in range(self.n_steps + 1))
-
-    @property
     def final_word(self) -> Word:
         return self.word(self.n_steps)
 
@@ -283,15 +279,6 @@ def _mt_random(stream_seeds: np.ndarray, n_draws: int) -> np.ndarray:
     pairs a, b of ``_mt_outputs``, as CPython computes it, exact in float64."""
     words = _mt_outputs(stream_seeds, 2 * n_draws)
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
-
-
-def _uniforms(seed: int, start: int, stop: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stream seeds of paths start..stop-1 and the first n_steps draws of
-    ``random.Random(stream_seed).random()`` for each, as a matrix; every
-    path's stream is seeded in one vectorised pass (``_mt_outputs``)."""
-    # vectorised: a random.Random per path took about 4x as long at 1e5 x 30 draws
-    seeds = _stream_seeds(seed, start, stop)
-    return seeds, _mt_random(seeds, n_steps).T
 
 
 def _sample_chunk(table: RowTable, start: int, stop: int, n_steps: int,
@@ -544,6 +531,13 @@ class EmpiricalMeasure:
 DEPTH_MARGIN = 10
 
 
+def require_depth(depth: int, bin_level: int):
+    """Refuse binning at ``bin_level`` paths whose shallowest one ends at ``depth``."""
+    if depth < bin_level + DEPTH_MARGIN:
+        raise InsufficientDepthError(
+            f"need n_steps >= bin_level + {DEPTH_MARGIN}, got depth {depth}")
+
+
 def empirical_harmonic_measure(samples: PathSamples, bin_level: int) -> EmpiricalMeasure:
     """Bin the final-tile midpoints at the d-adic resolution ``bin_level``.
 
@@ -555,11 +549,7 @@ def empirical_harmonic_measure(samples: PathSamples, bin_level: int) -> Empirica
         raise ValueError("no samples")
     d = samples.degree
     n_bins = d**bin_level
-    shallow = samples.final_levels < bin_level + DEPTH_MARGIN
-    if shallow.any():
-        raise InsufficientDepthError(
-            f"need n_steps >= bin_level + {DEPTH_MARGIN}, got depth "
-            f"{samples.final_levels[np.argmax(shallow)]}")
+    require_depth(int(samples.final_levels.min()), bin_level)
     bins = np.empty(len(samples), dtype=np.int64)
     for rows, idx, n in samples.by_final_level():
         # the midpoint (2i+1)/(2 d^n) lands in bin ((2i+1) d^m) // (2 d^n),

@@ -53,9 +53,7 @@ class GreenTable:
     def value(self, v: Word) -> Fraction:
         return self.values.get(v, Fraction(0))
 
-    def support(self, level: int | None = None) -> set[Word]:
-        if level is None:
-            return set(self.values)
+    def support(self, level: int) -> set[Word]:
         return {w for w in self.values if w.level == level}
 
 
@@ -473,7 +471,7 @@ class MartinTrace:
     final_sup_difference: float
 
 
-def _aitken_limit(seq: Sequence[Fraction]) -> Fraction:
+def aitken_limit(seq: Sequence[Fraction]) -> Fraction:
     """Aitken delta-squared extrapolation of three terms; exact for
     sequences of the form A + B q^n."""
     r0, r1, r2 = seq
@@ -600,7 +598,7 @@ def _trace(xi: Fraction, window_level: int, ray_offset: int, ray: list[Word],
                   for w in window}
         if all(abs(seq[2] - seq[1]) <= abs(seq[1] - seq[0])
                for seq in ratios.values()):
-            limit = {w: _aitken_limit(seq) for w, seq in ratios.items()}
+            limit = {w: aitken_limit(seq) for w, seq in ratios.items()}
             limit_anchor = candidate
             break
 
@@ -609,7 +607,7 @@ def _trace(xi: Fraction, window_level: int, ray_offset: int, ray: list[Word],
     if all(vec[anchor] != 0 for vec in vectors[-3:]):
         seq = [vec[anchor_up] / vec[anchor] for vec in vectors[-3:]]
         if abs(seq[2] - seq[1]) <= abs(seq[1] - seq[0]):
-            growth = _aitken_limit(seq)
+            growth = aitken_limit(seq)
 
     return MartinTrace(
         target_point=xi,
@@ -707,8 +705,6 @@ class EigenData:
     and of its 4x4 dyadic-point analogue."""
 
     eigenvalues: tuple[Fraction, Fraction, Fraction]          # x, 2y, 0
-    eigenvectors: tuple[tuple[Fraction, ...], ...]
-    dyadic_eigenvalues: tuple[Fraction, Fraction, Fraction, Fraction]  # x, 2y, y, 0
     dyadic_top_eigenvector: tuple[int, int, int, int]
 
 
@@ -743,12 +739,6 @@ def classify_doubling_boundary(x: Fraction) -> BoundaryClassification:
 
     eigen = EigenData(
         eigenvalues=(x, 2 * y, Fraction(0)),
-        eigenvectors=(
-            (5 * x - 2, 4 * x - 1, 1 - x),
-            (Fraction(0), Fraction(1), Fraction(1)),
-            (Fraction(0), Fraction(-1), Fraction(1)),
-        ),
-        dyadic_eigenvalues=(x, 2 * y, y, Fraction(0)),
         dyadic_top_eigenvector=(0, 1, 1, 0),
     )
     contraction = contraction_bound(x)

@@ -87,29 +87,6 @@ def parent(u: Word) -> Word:
 
 
 @dataclass(frozen=True)
-class SftMatrix:
-    """Boolean transition matrix of a one-sided subshift of finite type."""
-
-    entries: tuple[tuple[bool, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("transition matrix must be square")
-            if not any(row):
-                raise ValueError("every state needs at least one successor")
-
-    @classmethod
-    def full_shift(cls, n_states: int) -> "SftMatrix":
-        row = tuple(True for _ in range(n_states))
-        return cls(tuple(row for _ in range(n_states)))
-
-    def is_full(self) -> bool:
-        return all(all(row) for row in self.entries)
-
-
-@dataclass(frozen=True)
 class TileInterval:
     """Closed arc [lo, hi] on the circle R/Z with d-adic endpoints.
 

@@ -758,3 +758,84 @@ def test_hyperbolicity_at_level_4_writes_one_delta_row(tmp_path, capsys):
     body = [line for line in lines if not line.startswith("#")][1:]
     assert [row.split("\t")[0] for row in body] == ["4", "diam_comparability_4"]
     assert capsys.readouterr().out.startswith("hyperbolicity: delta = 4:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "dimension"])
+def test_a_too_shallow_radius_1_run_is_refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                                                command):
+    import tilewalk.cli as cli
+
+    # under a radius-1 kernel every path ends at depth n_steps = 12 < 8 + 10
+    calls = []
+    monkeypatch.setattr(cli, "sample_paths", lambda *args: calls.append(args))
+    scn = parse_scenario(SMALL + "run.n_steps = 12\nrun.bin_level = 8\n")
+    assert run_command(command, scn, tmp_path / "o") == EXIT_VALIDATION
+    assert calls == []
+    assert capsys.readouterr().err == "error: need n_steps >= bin_level + 10, got depth 12\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_too_shallow_radius_2_run_is_refused_after_sampling(tmp_path, capsys, monkeypatch):
+    import tilewalk.cli as cli
+
+    # a radius-2 path ends anywhere between depth n_steps and 2 n_steps
+    calls = []
+    original = cli.sample_paths
+    monkeypatch.setattr(cli, "sample_paths",
+                        lambda *args: calls.append(args) or original(*args))
+    table = tmp_path / "radius2.tbl"
+    table.write_text(RADIUS_2_TABLE)
+    scn = parse_scenario(f"kernel.table = {table}\nrun.n_paths = 200\nrun.n_steps = 10\n"
+                         "run.bin_level = 8\n")
+    assert run_command("simulate", scn, tmp_path / "o") == EXIT_VALIDATION
+    assert len(calls) == 1
+    err = capsys.readouterr().err
+    prefix = "error: need n_steps >= bin_level + 10, got depth "
+    assert err.startswith(prefix) and 10 <= int(err[len(prefix):]) < 18
+    assert not (tmp_path / "o").exists()
+
+
+def test_classify_error_mid_grid_leaves_no_out(tmp_path, capsys, monkeypatch):
+    import tilewalk.cli as cli
+    from tilewalk.green_martin import ClassificationInvariantError
+
+    scn = parse_scenario(REFERENCE_SCENARIO)
+    original = cli.classify_doubling_boundary
+
+    def classify(x):
+        if x == scn.x_grid[1]:
+            raise ClassificationInvariantError(f"x = {x} contradicts its contraction data")
+        return original(x)
+
+    monkeypatch.setattr(cli, "classify_doubling_boundary", classify)
+    assert run_command("classify", scn, tmp_path / "o") == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: x = 1/5 contradicts its contraction data\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("x", [str(x) for x in parse_scenario(REFERENCE.read_text()).x_grid]
+                         + ["1/3"])
+def test_demo_doubling_trace_ratio_is_the_ray_eigenvector(tmp_path, x):
+    # the row is written only where the extrapolated limit is exact: above 2/5,
+    # where it is (5x - 2):(4x - 1):(1 - x) over its smallest positive entry
+    assert main(["demo-doubling", "--x", x, "--out", str(tmp_path)]) == EXIT_OK
+    rows = dict(line.split("\t") for line in _body(tmp_path / "demo.tsv"))
+    xv = F(x)
+    if xv <= F(2, 5):
+        assert "trace_ratio" not in rows
+    else:
+        theory = (5 * xv - 2, 4 * xv - 1, 1 - xv)
+        floor = min(t for t in theory if t > 0)
+        assert rows["trace_ratio"] == ":".join(str(t / floor) for t in theory)
+
+
+def test_checks_shadow_geometry_can_fail(tmp_path, monkeypatch):
+    import tilewalk.cli as cli
+    from tilewalk.symbolic import TileInterval
+
+    # a hull of the whole circle lies in no ball around a tile below the root
+    monkeypatch.setattr(cli, "shadow_hull",
+                        lambda kernel, u, max_level: TileInterval(F(0), F(1)))
+    assert run_command("checks", parse_scenario(SMALL), tmp_path) == EXIT_PROPERTY
+    rows = {row.split("\t")[0]: row.split("\t")[1:] for row in _body(tmp_path / "checks.tsv")}
+    assert rows["shadow_geometry"] == ["FAIL", "levels <= 6"]

@@ -28,7 +28,6 @@ from tilewalk.ergodics import (
     _mt_random,
     _stream_seed,
     _stream_seeds,
-    _uniforms,
     cylinder_invariance_check,
     empirical_harmonic_measure,
     exact_green_drift_curve,
@@ -205,15 +204,6 @@ def test_mt_outputs_refuse_words_the_first_twist_replaces():
     assert _mt_outputs(np.array([5], dtype=np.uint64), 227).shape == (227, 1)
     with pytest.raises(ValueError, match="227"):
         _mt_outputs(np.array([5], dtype=np.uint64), 228)
-
-
-def test_uniforms_match_per_path_streams_across_chunks():
-    start, stop = 3, 3 + BLOCK + 5
-    seeds, draws = _uniforms(17, start, stop, 64)
-    assert seeds.tolist() == [_stream_seed(17, p) for p in range(start, stop)]
-    for row, s in enumerate(seeds.tolist()):
-        rng = random.Random(s)
-        assert draws[row].tolist() == [rng.random() for _ in range(64)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 + 7])

@@ -360,3 +360,24 @@ def test_validate_reads_each_row_at_most_twice(graph6, monkeypatch, make):
     scanned = [u for n in range(report.checked_levels + 1) for u in graph6.levels[n]]
     assert set(calls) <= set(scanned)
     assert len(calls) <= 2 * len(scanned)
+
+
+class _ShortRootRowKernel:
+    """The x = 1/4 kernel with its root row scaled to sum to 3/4."""
+
+    base_level = 2
+
+    def __init__(self, graph):
+        self.graph = graph
+        self._base = doubling_kernel(F(1, 4), graph)
+
+    def outgoing(self, u):
+        out = self._base.outgoing(u)
+        return [(w, p * F(3, 4)) for w, p in out] if u.is_root() else out
+
+
+def test_validator_flags_a_row_sum(graph6):
+    report = validate_assumptions(_ShortRootRowKernel(graph6))
+    assert not report.row_sums.ok
+    assert report.row_sums.witness == "row sum 3/4 at o"
+    assert not report.passed

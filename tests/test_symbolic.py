@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tilewalk.symbolic import (
     ROOT,
     CircleRealization,
-    SftMatrix,
     TileInterval,
     Word,
     arc_hull,
@@ -61,14 +60,6 @@ def test_intersect_examples(circle2):
     assert tiles_intersect(circle2, u32, u02)          # touch at 0 == 1
     u = parse_word("0110")
     assert tiles_intersect(circle2, u, parent(u))
-
-
-def test_sft_matrix_validation():
-    with pytest.raises(ValueError):
-        SftMatrix(((True, False), (False,)))
-    with pytest.raises(ValueError):
-        SftMatrix(((False, False), (True, True)))
-    assert SftMatrix.full_shift(3).is_full()
 
 
 words = st.integers(2, 3).flatmap(
